@@ -28,9 +28,18 @@
 // core.Options.Tools (or the -tools flag of racecheck, tracereplay and
 // perfbench) selects the registry for a run.
 //
-// Every tool instance sits behind its own panic-isolating trace.SafeSink
-// and writes to its own report.Collector, whose sites are stamped with the
-// global sequence number of the event that produced them. At the end of the
+// Every tool instance is panic-isolated and writes to its own
+// report.Collector, whose sites are stamped with the global sequence number
+// of the event that produced them. The single-pass pipeline
+// (engine.Sequential) delivers batch-major: events gather in one pooled
+// 512-event batch — a recorded log is decoded straight into it
+// (tracelog.Decoder.NextBatch), live events are copied into it — and a batch
+// is handed to one tool at a time under a single recover, the sequence number
+// stamped per event, so the report is the one event-by-event delivery gives.
+// A tool that panics is disabled from that event on (trace.SafeSink keeps the
+// error for Close) and its siblings are unaffected; a partly filled batch is
+// delivered by Snapshot and Close. The sharded engine's workers deliver event
+// by event, each instance behind its own trace.SafeSink. At the end of the
 // stream, end-of-phase passes (trace.Finisher) run, and report.Merge folds
 // all collectors into one report ordered by global first-seen occurrence —
 // across tools and, in the parallel mode, across shards.
@@ -250,14 +259,18 @@
 // # The zero-allocation hot path
 //
 // Steady-state decode and dispatch allocate nothing per event: the decoder
-// reuses fixed field scratch, a reused tag buffer and a chunked block slab
-// (freed descriptors are evicted and recycled, bounding the block table by
-// the live set); the engine pools dispatch batches with per-batch
-// segment-edge arenas; and allocation tags plus metadata strings are
-// canonicalised in internal/intern's process-wide table, with identical
-// metadata frame payloads content-hash deduped so concurrent sessions from
-// one binary share one table copy. The price is a copy-on-retain contract:
-// a decoded Event.Segment.In is valid only until the next Decoder.Next.
+// parses events in place out of a 64 KiB read window (inline varints, an
+// event cut off by the window's end carried over as a tail), with fixed
+// field scratch and a chunked block slab (freed descriptors are evicted and
+// recycled, bounding the block table by the live set); decoders and the
+// engine's batches — each with its segment-edge arena — are pooled across
+// sessions; and allocation tags plus metadata strings are canonicalised in
+// internal/intern's process-wide table, with identical metadata frame
+// payloads content-hash deduped so concurrent sessions from one binary share
+// one table copy. The price is a copy-on-retain contract: a decoded
+// Event.Segment.In points into the decoder's edge arena and is valid only
+// until the next Decoder.Next — for the events of a batch, until the next
+// Decoder.NextBatch.
 //
 // The detectors follow the same discipline: the block-routed tools keep
 // their shadow state in flat slices over dense-remapped IDs (trace.Dense)

@@ -85,10 +85,11 @@ type Options struct {
 	Metrics *Metrics
 	// ToolTime, when true, measures the wall time spent inside each tool
 	// instance's event handlers; ToolTimes returns the totals after Close.
-	// The measurement brackets every delivery with two clock reads, so it is
-	// off by default and meant for attribution runs (perfbench -tooltime),
-	// not steady-state production pipelines. Like Metrics, it never changes
-	// analysis output.
+	// The measurement brackets every delivery with two clock reads — per
+	// event and instance in the shard workers, per tool and batch in
+	// Sequential — so it is off by default and meant for attribution runs
+	// (perfbench -tooltime), not steady-state production pipelines. Like
+	// Metrics, it never changes analysis output.
 	ToolTime bool
 }
 
@@ -171,13 +172,20 @@ type batch struct {
 }
 
 // addEdges copies a segment event's edges into the batch arena and returns
-// the batch-owned slice. Arena growth may move the backing array; slices
-// handed out earlier keep pointing at the old array, whose contents are
-// already written and never mutated, so they stay valid.
+// the batch-owned slice.
 func (b *batch) addEdges(in []trace.SegmentEdge) []trace.SegmentEdge {
-	start := len(b.edges)
-	b.edges = append(b.edges, in...)
-	return b.edges[start:len(b.edges):len(b.edges)]
+	return copyEdges(&b.edges, in)
+}
+
+// copyEdges appends in to an edge arena and returns the arena-owned copy,
+// capacity-limited so nothing appended later is reachable through it. Arena
+// growth may move the backing array; slices handed out earlier keep pointing
+// at the old array, whose contents are already written and never mutated, so
+// they stay valid.
+func copyEdges(arena *[]trace.SegmentEdge, in []trace.SegmentEdge) []trace.SegmentEdge {
+	start := len(*arena)
+	*arena = append(*arena, in...)
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
 func (b *batch) reset() *batch {
@@ -215,7 +223,10 @@ type Engine struct {
 
 	// Snapshot quiesce machinery (see Snapshot): a nil batch sent down a
 	// shard channel is the barrier marker; the worker checks in on snapWG and
-	// parks on snapGate until the dispatcher has cloned every collector.
+	// parks on snapGate until the dispatcher has cloned every collector. The
+	// gate is unbuffered: each release is a handoff to a worker that is
+	// parked right now, so a fast worker cannot take, at the next snapshot,
+	// the token of a sibling still parked at this one.
 	snapWG   sync.WaitGroup
 	snapGate chan struct{}
 }
@@ -226,7 +237,7 @@ func New(opt Options) (*Engine, error) {
 	if err := validateTools(opt.Tools); err != nil {
 		return nil, err
 	}
-	e := &Engine{opt: opt, snapGate: make(chan struct{}, opt.Shards)}
+	e := &Engine{opt: opt, snapGate: make(chan struct{})}
 	e.met = opt.Metrics
 	e.hwm = shardQueueGauges(opt.Metrics, opt.Shards)
 	e.pool.New = func() any { return &batch{ev: make([]event, 0, opt.BatchSize)} }
@@ -401,7 +412,8 @@ func (e *Engine) flushMetrics() {
 // events dispatched so far analysed only a prefix of the stream, so Close
 // will return the error instead of a partial merged report.
 func (e *Engine) ReplayLog(r io.Reader) (int64, error) {
-	dec := tracelog.NewDecoder(r)
+	dec := tracelog.AcquireDecoder(r)
+	defer dec.Release()
 	var ev tracelog.Event
 	for {
 		err := dec.Next(&ev)

@@ -15,9 +15,9 @@ import (
 // Instrumentation never touches collectors or tool state, so reports are
 // byte-identical with metrics attached or not — the ingest obs-conformance
 // test pins this — and the hot-path cost is kept off the allocation profile:
-// the per-event work is one local increment, folded into the shared counters
-// every metricsFlushEvery events and at every batch, snapshot and close
-// boundary.
+// the sharded dispatcher's per-event work is one local increment, folded into
+// the shared counters every metricsFlushEvery events and at every snapshot and
+// close boundary; Sequential adds once per delivered batch.
 type Metrics struct {
 	// EventsDecoded counts source events dispatched into pipelines (each
 	// event once, however many shards it fans out to).

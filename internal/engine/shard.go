@@ -13,9 +13,12 @@ import (
 // private collector stamping sites with the owning worker's current global
 // sequence number. Block-routed tools have one per shard; pinned tools have
 // exactly one, homed on one shard. cur points at the owning worker's
-// sequence counter (shard.cur, or Sequential.seq), which the worker updates
+// sequence counter (shard.cur, or Sequential.cur), which the worker updates
 // before delivering each event on its own goroutine — the same goroutine the
-// collector's sequencer then reads it from.
+// collector's sequencer then reads it from. A shard worker delivers through
+// the SafeSink; Sequential delivers a batch to the unwrapped tool under one
+// recover of its own and reports a panic to the SafeSink (Absorb), which
+// keeps the disabled flag and the error either way.
 type toolInst struct {
 	name string
 	col  *report.Collector

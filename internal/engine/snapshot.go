@@ -70,8 +70,7 @@ func (e *Engine) Snapshot() (*report.Collector, error) {
 	for i, ti := range e.insts {
 		cols[i] = snapshotCollector(ti.col)
 	}
-	// Resume: one gate token per parked worker (the gate is buffered to the
-	// shard count, so this never blocks).
+	// Resume: one gate token handed to each parked worker.
 	for range e.shards {
 		e.snapGate <- struct{}{}
 	}
@@ -80,8 +79,9 @@ func (e *Engine) Snapshot() (*report.Collector, error) {
 
 // Snapshot returns the deterministic merged report of everything analysed so
 // far, without ending the stream — the Sequential counterpart of
-// Engine.Snapshot, with the same contract. Delivery is inline, so no quiesce
-// is needed: between events the collectors are already at rest.
+// Engine.Snapshot, with the same contract. The quiesce is delivering the
+// partly filled batch: after it the collectors cover exactly Events() events
+// and are at rest.
 func (s *Sequential) Snapshot() (*report.Collector, error) {
 	if s.closed {
 		return nil, fmt.Errorf("engine: Snapshot after Close")
@@ -89,7 +89,7 @@ func (s *Sequential) Snapshot() (*report.Collector, error) {
 	if s.streamErr != nil {
 		return nil, fmt.Errorf("engine: stream failed after %d events: %w", s.seq, s.streamErr)
 	}
-	s.flushMetrics()
+	s.flush()
 	var cloneStart time.Time
 	if s.met != nil {
 		cloneStart = time.Now()

@@ -341,7 +341,8 @@ func (sam *sampler) keep(ev *tracelog.Event) bool {
 // counting them exactly. It returns the number of events the stream carried
 // (sent = analysed + sam.dropped); the error contract matches ReplayLog.
 func replaySampled(pipe engine.Pipeline, r io.Reader, sam *sampler) (int64, error) {
-	dec := tracelog.NewDecoder(r)
+	dec := tracelog.AcquireDecoder(r)
+	defer dec.Release()
 	var ev tracelog.Event
 	for {
 		err := dec.Next(&ev)

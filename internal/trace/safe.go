@@ -38,6 +38,23 @@ func (s *SafeSink) Err() error { return s.err }
 // Unwrap returns the wrapped sink.
 func (s *SafeSink) Unwrap() Sink { return s.inner }
 
+// Disabled reports whether the sink has stopped forwarding events: it
+// absorbed a panic, or it wraps nil.
+func (s *SafeSink) Disabled() bool { return s.disabled }
+
+// Absorb disables the sink over a panic value recovered in the named
+// callback. SafeSink's own callbacks end up here; it is exported for a caller
+// that delivers a run of events to Unwrap() under one recover of its own (the
+// engine's batch delivery) and must leave the sink in the state a panic
+// caught here would have.
+func (s *SafeSink) Absorb(callback string, recovered any) {
+	s.disabled = true
+	s.err = fmt.Errorf("trace: sink %q panicked in %s: %v", s.inner.ToolName(), callback, recovered)
+	if s.OnPanic != nil {
+		s.OnPanic()
+	}
+}
+
 // safely runs call, converting a panic into a sticky error.
 func (s *SafeSink) safely(callback string, call func()) {
 	if s.disabled {
@@ -45,11 +62,7 @@ func (s *SafeSink) safely(callback string, call func()) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			s.disabled = true
-			s.err = fmt.Errorf("trace: sink %q panicked in %s: %v", s.inner.ToolName(), callback, r)
-			if s.OnPanic != nil {
-				s.OnPanic()
-			}
+			s.Absorb(callback, r)
 		}
 	}()
 	call()

@@ -1,10 +1,11 @@
 package tracelog
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/intern"
 	"repro/internal/trace"
@@ -32,8 +33,8 @@ const (
 // Event is one decoded log event in a uniform representation. Only the
 // fields relevant to Op are meaningful. Holding events as values (rather
 // than delivering them straight into sinks, as Replay does) is what lets the
-// parallel engine decode a log once and dispatch the same event to several
-// shard workers.
+// engine decode a log once, a batch at a time, and hand the same events to
+// every tool or shard worker.
 type Event struct {
 	Op Op
 	// Access is set for OpAccess.
@@ -43,12 +44,16 @@ type Event struct {
 	// Decoder. The Tag string is interned process-wide (internal/intern), so
 	// repeated tags share one allocation across every decoder and session.
 	Block trace.Block
-	// Segment is set for OpSegment. Its In slice points into a buffer the
-	// Decoder reuses: it is valid only until the next call to Next (or
-	// Reset). A consumer that retains segment events beyond that must copy
-	// the slice — copy-on-retain, the same discipline trace.Sink already
-	// demands for event pointers. The engine copies edges into its
-	// batch-owned arenas; inline replay delivers before the next decode.
+	// Segment is set for OpSegment. Its In slice points into an arena the
+	// Decoder reuses: after Next it is valid only until the next call to
+	// Next; after NextBatch, every event of the batch keeps its slice until
+	// the next call to NextBatch (Reset and Release end both). A consumer
+	// that retains segment events beyond that must copy the slice —
+	// copy-on-retain, the same discipline trace.Sink already demands for
+	// event pointers. The engine's batches do: a log replayed through
+	// engine.Sequential is delivered batch by batch out of the decoder's
+	// arena, and events arriving through a pipeline's trace.Sink methods are
+	// copied into the batch's own arena.
 	Segment trace.SegmentStart
 	// Sync is set for OpSync.
 	Sync trace.SyncEvent
@@ -65,6 +70,36 @@ type Event struct {
 	LockKind trace.LockKind
 	// Stack is set for OpAcquire, OpRelease, OpContended and OpFree.
 	Stack trace.StackID
+}
+
+// String returns the name of the trace.Sink callback the opcode is delivered
+// through.
+func (op Op) String() string {
+	switch op {
+	case OpAccess:
+		return "Access"
+	case OpAcquire:
+		return "Acquire"
+	case OpRelease:
+		return "Release"
+	case OpContended:
+		return "Contended"
+	case OpAlloc:
+		return "Alloc"
+	case OpFree:
+		return "Free"
+	case OpSegment:
+		return "Segment"
+	case OpSync:
+		return "Sync"
+	case OpRequest:
+		return "Request"
+	case OpThreadStart:
+		return "ThreadStart"
+	case OpThreadExit:
+		return "ThreadExit"
+	}
+	return fmt.Sprintf("Op(%d)", uint8(op))
 }
 
 // Deliver invokes the Sink callback corresponding to the event. Pointers
@@ -108,9 +143,9 @@ const (
 	maxTagLen = 1 << 20
 )
 
-// maxEventFields is the most uvarint fields any opcode carries outside the
-// variable segment-edge list (OpAccess, with 9); the decode scratch array is
-// sized to it with headroom for future opcodes.
+// maxEventFields is the most fixed uvarint fields any opcode carries (see
+// fixedFields: OpAccess, with 9); the decode scratch array is sized to it
+// with headroom for future opcodes.
 const maxEventFields = 16
 
 // blockChunk is the slab granule: live block descriptors are allocated 256
@@ -160,112 +195,181 @@ func (s *blockSlab) reset() {
 	s.free = s.free[:0]
 }
 
+// windowSize is the decoder's read window: the ingest clients' frame size, so
+// one Read usually takes a whole frame straight off the connection.
+const windowSize = 64 << 10
+
 // Decoder reads a binary trace log event by event. It reconstructs block
 // descriptors so that OpFree events carry the matching allocation, exactly
 // as Replay does.
+//
+// The decoder is slice-native: it fills a read window with large Reads and
+// parses events out of it with inline varint decoding, so the per-byte cost
+// is an index and a compare, not an interface call. An event cut off by the
+// window's end is carried to the front of the window as a tail and parsed
+// again once more input has arrived; an event larger than the window (a huge
+// tag or edge list, both bounded) grows it.
 //
 // The steady-state decode path is allocation-free: fixed-size field scratch,
 // slab-recycled block descriptors (an OpFree evicts and recycles its
 // descriptor, so the block table is bounded by the live set, not the event
 // count), process-wide interned allocation tags, and a reused segment-edge
-// buffer (see Event.Segment). A Decoder is not safe for concurrent use.
+// arena (see Event.Segment). A Decoder is not safe for concurrent use.
 type Decoder struct {
-	br     *bufio.Reader
+	r    io.Reader
+	win  []byte // read window; win[pos:end] is input not yet decoded
+	pos  int
+	end  int
+	rerr error // what r returned last (io.EOF included), due once the window is drained
+
 	blocks map[trace.BlockID]*trace.Block
 	slab   blockSlab
 	events int64
 
 	scratch [maxEventFields]uint64 // per-event field decode, no per-call slice
-	tagBuf  []byte                 // reused tag read buffer; interned before use
-	edges   []trace.SegmentEdge    // reused Segment.In backing; see Event.Segment
+	edges   []trace.SegmentEdge    // Segment.In arena of the current Next or NextBatch
+
+	// A segment event cut off inside its edge list resumes there after the
+	// refill instead of parsing the list again, so that a peer trickling a
+	// 65,536-edge event one byte per read costs linear, not quadratic, time:
+	// the last segEdges entries of edges are the edges already parsed, and
+	// they end segOff bytes into the event. Zero when nothing is pending.
+	segOff, segEdges int
 }
 
 // NewDecoder creates a decoder reading the binary log from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{
-		br:     bufio.NewReader(r),
-		blocks: make(map[trace.BlockID]*trace.Block),
-	}
+	return &Decoder{r: r, blocks: make(map[trace.BlockID]*trace.Block)}
 }
 
-// Reset rewires the decoder to a new log, recycling its buffers, block slab
+// Reset rewires the decoder to a new log, recycling its window, block slab
 // and table: a decoder in a long-lived server (or a benchmark loop) decodes
 // any number of streams with no per-stream allocation beyond what a larger
 // live set or a new tag vocabulary demands.
 func (d *Decoder) Reset(r io.Reader) {
-	d.br.Reset(r)
+	d.r = r
+	d.pos, d.end, d.rerr = 0, 0, nil
 	clear(d.blocks)
 	d.slab.reset()
 	d.events = 0
+	d.segOff, d.segEdges = 0, 0
+}
+
+// Pooled decoders above these sizes are dropped, not reused: one hostile
+// stream (a megabyte tag, a million live blocks) must not leave its
+// high-water mark in every later session's decoder.
+const (
+	maxPooledEdges  = 4096
+	maxPooledChunks = 64 // 16,384 live blocks
+)
+
+var decoderPool = sync.Pool{New: func() any { return NewDecoder(nil) }}
+
+// AcquireDecoder returns a pooled decoder reading the binary log from r, so
+// that a process decoding many streams — the ingest server's sessions —
+// allocates windows and block tables once. Hand it back with Release.
+func AcquireDecoder(r io.Reader) *Decoder {
+	d := decoderPool.Get().(*Decoder)
+	d.Reset(r)
+	return d
+}
+
+// Release returns a decoder obtained from AcquireDecoder to the pool. The
+// decoder, and every Segment.In slice it handed out, must not be used
+// afterwards.
+func (d *Decoder) Release() {
+	d.r = nil // the pool must not keep a connection alive
+	if len(d.win) > windowSize || cap(d.edges) > maxPooledEdges || len(d.slab.chunks) > maxPooledChunks {
+		return
+	}
+	decoderPool.Put(d)
 }
 
 // Events returns the number of events decoded so far, counting an event
 // whose payload turned out to be truncated.
 func (d *Decoder) Events() int64 { return d.events }
 
-// readFields decodes n uvarint fields into the fixed scratch array. Running
-// out of input mid-payload is a truncated log, not a clean end, and must not
-// look like io.EOF.
-func (d *Decoder) readFields(n int) ([]uint64, error) {
-	out := d.scratch[:n]
-	for i := range out {
-		v, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+var (
+	// errShort reports that the window ends inside the event being parsed.
+	// It never leaves the package.
+	errShort = errors.New("tracelog: event continues past the read window")
+	// errOverflow is binary.ReadUvarint's overflow, for a corrupt log.
+	errOverflow = errors.New("tracelog: varint overflows a 64-bit integer")
+)
+
+// Failed parse positions. uvarint passes a negative index through, so a run
+// of fields is decoded with one check at its end and the first failure is the
+// one reported.
+const (
+	idxShort    = -1
+	idxOverflow = -2
+)
+
+func idxErr(i int) error {
+	if i == idxShort {
+		return errShort
+	}
+	return errOverflow
+}
+
+// uvarint decodes the varint at b[i:] and returns it with the index of the
+// byte after it, or with a failed parse position. It has the bounds of
+// binary.ReadUvarint: at most ten bytes, the tenth at most 1.
+func uvarint(b []byte, i int) (uint64, int) {
+	if i < 0 {
+		return 0, i
+	}
+	var x uint64
+	for s := uint(0); s < 7*binary.MaxVarintLen64; s += 7 {
+		if i >= len(b) {
+			return 0, idxShort
+		}
+		c := b[i]
+		i++
+		if c < 0x80 {
+			if s == 63 && c > 1 {
+				return 0, idxOverflow
 			}
-			return nil, err
+			return x | uint64(c)<<s, i
 		}
-		out[i] = v
+		x |= uint64(c&0x7f) << s
 	}
-	return out, nil
+	return 0, idxOverflow
 }
 
-// readTag reads a length-prefixed allocation tag into the reused buffer and
-// interns it, so a repeated tag costs no allocation.
-func (d *Decoder) readTag() (string, error) {
-	n, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return "", err
-	}
-	if n > maxTagLen {
-		return "", fmt.Errorf("tracelog: corrupt string length %d", n)
-	}
-	if uint64(cap(d.tagBuf)) < n {
-		d.tagBuf = make([]byte, n)
-	}
-	buf := d.tagBuf[:n]
-	if _, err := io.ReadFull(d.br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return "", err
-	}
-	return intern.Bytes(buf), nil
+// fixedFields is the number of leading uvarint fields of each opcode: every
+// field of the event, but for an allocation's tag bytes (whose length is the
+// last fixed field) and a segment's edge list (whose count is).
+var fixedFields = [...]uint8{
+	opAccess: 9, opAcquire: 4, opRelease: 4, opContended: 3, opAlloc: 6, opFree: 3,
+	opSegment: 3, opSync: 5, opRequest: 6, opThreadStart: 2, opThreadExit: 1,
 }
 
-// Next decodes the next event into *ev, overwriting all fields. It returns
-// io.EOF at a clean end of log; any other error means a corrupt or truncated
-// log.
-func (d *Decoder) Next(ev *Event) error {
-	op, err := d.br.ReadByte()
-	if err == io.EOF {
-		return io.EOF
+// parse decodes the event that starts at b[0] into *ev and returns its
+// length. errShort means b ends inside the event and nothing was consumed;
+// any other error means a corrupt log.
+func (d *Decoder) parse(b []byte, ev *Event) (int, error) {
+	op := b[0]
+	if int(op) >= len(fixedFields) || fixedFields[op] == 0 {
+		return 0, fmt.Errorf("tracelog: unknown opcode %d", op)
 	}
-	if err != nil {
-		return err
+	f := d.scratch[:fixedFields[op]]
+	i := 1
+	for k := range f {
+		// Most fields are one byte; the call is for the rest.
+		if uint(i) < uint(len(b)) && b[i] < 0x80 {
+			f[k] = uint64(b[i])
+			i++
+		} else {
+			f[k], i = uvarint(b, i)
+		}
 	}
-	d.events++
+	if i < 0 {
+		return 0, idxErr(i)
+	}
+	ev.Op = Op(op)
 	switch op {
 	case opAccess:
-		f, err := d.readFields(9)
-		if err != nil {
-			return err
-		}
-		ev.Op = OpAccess
 		ev.Access = trace.Access{
 			Thread: trace.ThreadID(f[0]), Seg: trace.SegmentID(f[1]),
 			Block: trace.BlockID(f[2]), Addr: trace.Addr(f[3]),
@@ -274,37 +378,24 @@ func (d *Decoder) Next(ev *Event) error {
 			Stack: trace.StackID(f[8]),
 		}
 	case opAcquire, opRelease:
-		f, err := d.readFields(4)
-		if err != nil {
-			return err
-		}
-		if op == opAcquire {
-			ev.Op = OpAcquire
-		} else {
-			ev.Op = OpRelease
-		}
 		ev.Thread = trace.ThreadID(f[0])
 		ev.Lock = trace.LockID(f[1])
 		ev.LockKind = trace.LockKind(f[2])
 		ev.Stack = trace.StackID(f[3])
 	case opContended:
-		f, err := d.readFields(3)
-		if err != nil {
-			return err
-		}
-		ev.Op = OpContended
 		ev.Thread = trace.ThreadID(f[0])
 		ev.Lock = trace.LockID(f[1])
 		ev.Stack = trace.StackID(f[2])
 	case opAlloc:
-		f, err := d.readFields(5)
-		if err != nil {
-			return err
+		if f[5] > maxTagLen {
+			return 0, fmt.Errorf("tracelog: corrupt string length %d", f[5])
 		}
-		tag, err := d.readTag()
-		if err != nil {
-			return err
+		if uint64(len(b)-i) < f[5] {
+			return 0, errShort
 		}
+		// Interned straight from the window: a repeated tag costs no copy.
+		tag := intern.Bytes(b[i : i+int(f[5])])
+		i += int(f[5])
 		id := trace.BlockID(f[0])
 		blk := d.blocks[id]
 		if blk == nil {
@@ -315,15 +406,9 @@ func (d *Decoder) Next(ev *Event) error {
 			ID: id, Base: trace.Addr(f[1]), Size: uint32(f[2]),
 			Thread: trace.ThreadID(f[3]), Stack: trace.StackID(f[4]), Tag: tag,
 		}
-		ev.Op = OpAlloc
 		ev.Block = *blk
 	case opFree:
-		f, err := d.readFields(3)
-		if err != nil {
-			return err
-		}
 		id := trace.BlockID(f[0])
-		ev.Op = OpFree
 		if blk := d.blocks[id]; blk != nil {
 			// Evict: the free event carries the value copy, so nothing needs
 			// the table entry afterwards — keeping it (as earlier revisions
@@ -340,64 +425,156 @@ func (d *Decoder) Next(ev *Event) error {
 		ev.Thread = trace.ThreadID(f[1])
 		ev.Stack = trace.StackID(f[2])
 	case opSegment:
-		f, err := d.readFields(3)
-		if err != nil {
-			return err
-		}
 		if f[2] > maxSegmentEdges {
-			return fmt.Errorf("tracelog: corrupt segment event: %d incoming edges", f[2])
+			return 0, fmt.Errorf("tracelog: corrupt segment event: %d incoming edges", f[2])
 		}
-		// The header fields live in the shared scratch array the edge reads
-		// below overwrite; take them out first.
-		seg, thr, n := trace.SegmentID(f[0]), trace.ThreadID(f[1]), int(f[2])
-		d.edges = d.edges[:0]
-		for i := 0; i < n; i++ {
-			ef, err := d.readFields(2)
-			if err != nil {
-				return err
+		n, k := int(f[2]), 0
+		if d.segOff > 0 {
+			i, k = d.segOff, d.segEdges
+		}
+		for ; k < n; k++ {
+			from, j := uvarint(b, i)
+			kind, j := uvarint(b, j)
+			if j < 0 {
+				if j == idxShort {
+					d.segOff, d.segEdges = i, k
+				}
+				return 0, idxErr(j)
 			}
-			d.edges = append(d.edges, trace.SegmentEdge{From: trace.SegmentID(ef[0]), Kind: trace.EdgeKind(ef[1])})
+			d.edges = append(d.edges, trace.SegmentEdge{From: trace.SegmentID(from), Kind: trace.EdgeKind(kind)})
+			i = j
 		}
-		ev.Op = OpSegment
-		ev.Segment = trace.SegmentStart{Seg: seg, Thread: thr, In: d.edges}
+		d.segOff, d.segEdges = 0, 0
+		// Capacity-limited, so that nothing appended to the arena later can
+		// be reached through this event's slice.
+		in := d.edges[len(d.edges)-n : len(d.edges) : len(d.edges)]
+		ev.Segment = trace.SegmentStart{Seg: trace.SegmentID(f[0]), Thread: trace.ThreadID(f[1]), In: in}
 	case opSync:
-		f, err := d.readFields(5)
-		if err != nil {
-			return err
-		}
-		ev.Op = OpSync
 		ev.Sync = trace.SyncEvent{
 			Op: trace.SyncOp(f[0]), Obj: trace.SyncID(f[1]),
 			Thread: trace.ThreadID(f[2]), Msg: int64(f[3]), Stack: trace.StackID(f[4]),
 		}
 	case opRequest:
-		f, err := d.readFields(6)
-		if err != nil {
-			return err
-		}
-		ev.Op = OpRequest
 		ev.Request = trace.Request{
 			Kind: trace.RequestKind(f[0]), Thread: trace.ThreadID(f[1]),
 			Block: trace.BlockID(f[2]), Off: uint32(f[3]), Size: uint32(f[4]),
 			Stack: trace.StackID(f[5]),
 		}
 	case opThreadStart:
-		f, err := d.readFields(2)
-		if err != nil {
-			return err
-		}
-		ev.Op = OpThreadStart
 		ev.Thread = trace.ThreadID(f[0])
 		ev.Parent = trace.ThreadID(f[1])
 	case opThreadExit:
-		f, err := d.readFields(1)
+		ev.Thread = trace.ThreadID(f[0])
+	}
+	return i, nil
+}
+
+// maxEmptyReads is how many consecutive (0, nil) Reads refill tolerates
+// before giving up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// refill reads more input behind the undecoded tail, which it first moves
+// to the front of the window; a tail that already fills the window — one
+// event larger than it — doubles the window instead. It returns once at
+// least one byte has arrived, and never reads twice when the first Read
+// delivered: a complete event is not held back waiting for later input.
+func (d *Decoder) refill() error {
+	if d.rerr != nil {
+		return d.rerr
+	}
+	if d.pos > 0 {
+		d.end = copy(d.win, d.win[d.pos:d.end])
+		d.pos = 0
+	}
+	if d.end == len(d.win) {
+		// The parse bounds (maxTagLen, maxSegmentEdges) cap this growth at a
+		// few megabytes, and only bytes that really arrived drive it.
+		size := windowSize
+		if d.win != nil {
+			size = 2 * len(d.win)
+		}
+		w := make([]byte, size)
+		copy(w, d.win)
+		d.win = w
+	}
+	for range maxEmptyReads {
+		n, err := d.r.Read(d.win[d.end:])
+		d.end += n
+		d.rerr = err
+		if n > 0 {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		ev.Op = OpThreadExit
-		ev.Thread = trace.ThreadID(f[0])
-	default:
-		return fmt.Errorf("tracelog: unknown opcode %d", op)
 	}
-	return nil
+	return io.ErrNoProgress
+}
+
+// decode is Next without the arena reset. With block false it declines to
+// read: it returns errShort when the window holds no further whole event.
+func (d *Decoder) decode(ev *Event, block bool) error {
+	for {
+		if d.pos < d.end {
+			n, err := d.parse(d.win[d.pos:d.end], ev)
+			if err != errShort {
+				d.pos += n
+				d.events++
+				return err
+			}
+		}
+		if !block {
+			// The next call starts a new arena: forget the partial edge list.
+			d.edges = d.edges[:len(d.edges)-d.segEdges]
+			d.segOff, d.segEdges = 0, 0
+			return errShort
+		}
+		if err := d.refill(); err != nil {
+			if d.pos < d.end {
+				// Running out of input mid-event is a truncated log, not a
+				// clean end, and must not look like io.EOF.
+				d.events++
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+			}
+			return err
+		}
+	}
+}
+
+// Next decodes the next event into *ev, overwriting the fields its Op uses.
+// It returns io.EOF at a clean end of log; any other error means a corrupt
+// or truncated log.
+func (d *Decoder) Next(ev *Event) error {
+	d.edges = d.edges[:0]
+	return d.decode(ev, true)
+}
+
+// NextBatch decodes up to len(evs) events into evs and returns how many. The
+// events' Segment.In slices share one arena that stays valid until the next
+// call to NextBatch, Next, Reset or Release.
+//
+// A batch never spans a Read: NextBatch reads only while the batch is still
+// empty, and returns what it has when the window runs out of whole events.
+// Whatever a reader does inside Read — the ingest server's idle deadline and
+// snapshot trigger — therefore runs between batches, with every event handed
+// out so far already delivered by the caller.
+//
+// Like io.Reader, NextBatch may return n > 0 together with an error: the n
+// events precede the corrupt or truncated one. The clean end of the log is
+// (0, io.EOF).
+func (d *Decoder) NextBatch(evs []Event) (int, error) {
+	d.edges = d.edges[:0]
+	n := 0
+	for n < len(evs) {
+		if err := d.decode(&evs[n], n == 0); err != nil {
+			if err == errShort {
+				break
+			}
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }

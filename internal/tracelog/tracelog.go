@@ -94,12 +94,14 @@ func (r *Recorder) emitString(s string) {
 		return
 	}
 	r.buf = binary.AppendUvarint(r.buf[:0], uint64(len(s)))
-	if _, err := r.w.Write(r.buf); err != nil {
+	n, err := r.w.Write(r.buf)
+	r.bytes += int64(n)
+	if err != nil {
 		r.err = err
 		return
 	}
-	n, err := r.w.WriteString(s)
-	r.bytes += int64(n) + 1
+	n, err = r.w.WriteString(s)
+	r.bytes += int64(n)
 	if err != nil {
 		r.err = err
 	}
@@ -180,10 +182,12 @@ var _ trace.Sink = (*Recorder)(nil)
 // order. Blocks are reconstructed so that Free events carry the matching
 // descriptor. It returns the number of events replayed.
 //
-// Replay is the sequential analysis path; internal/engine consumes the same
-// Decoder to fan a log out across shard workers.
+// Replay delivers event-major, straight into the sinks with no isolation or
+// sequencing; internal/engine consumes the same Decoder a batch at a time to
+// run a tool registry.
 func Replay(rd io.Reader, sinks ...trace.Sink) (int64, error) {
-	d := NewDecoder(rd)
+	d := AcquireDecoder(rd)
+	defer d.Release()
 	var ev Event
 	for {
 		err := d.Next(&ev)
@@ -199,9 +203,8 @@ func Replay(rd io.Reader, sinks ...trace.Sink) (int64, error) {
 	}
 }
 
-// readN collects n uvarint fields through the given read callback. The
-// event decode hot path uses Decoder.readFields (fixed scratch, no per-call
-// slice) instead; this remains for the cold metadata decode.
+// readN collects n uvarint fields through the given read callback, for the
+// cold metadata decode; the event decode hot path is Decoder.parse.
 func readN(read func() (uint64, error), n int) ([]uint64, error) {
 	out := make([]uint64, n)
 	for i := range out {

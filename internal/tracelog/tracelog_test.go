@@ -2,6 +2,7 @@ package tracelog
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/lockset"
@@ -165,5 +166,21 @@ func TestRecorderCountsBytes(t *testing.T) {
 	}
 	if int64(log.Len()) < rec.Bytes()/2 {
 		t.Errorf("emitted bytes (%d) inconsistent with buffer (%d)", rec.Bytes(), log.Len())
+	}
+}
+
+// TestRecorderBytesEqualOutput: Bytes() is the size of what was written, for
+// tags on both sides of the one-byte length prefix (127 | 128) and beyond.
+func TestRecorderBytesEqualOutput(t *testing.T) {
+	for _, n := range []int{5, 127, 128, 300, 20000} {
+		var log bytes.Buffer
+		rec := NewRecorder(&log)
+		rec.Alloc(&trace.Block{ID: 1, Base: 0x1000, Size: 64, Thread: 1, Stack: 1, Tag: strings.Repeat("x", n)})
+		if err := rec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Bytes() != int64(log.Len()) {
+			t.Errorf("tag of %d bytes: Bytes() = %d, %d written", n, rec.Bytes(), log.Len())
+		}
 	}
 }
