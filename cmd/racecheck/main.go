@@ -9,7 +9,7 @@
 //	racecheck -workload stringrace -config original
 //	racecheck -workload counter -detector djit
 //	racecheck -workload threadpool -config hwlc+dr -edges full
-//	racecheck -workload counter -tools lockset,djit,deadlock,memcheck -parallel 4
+//	racecheck -workload counter -tools lockset,djit,deadlock,memcheck
 package main
 
 import (
@@ -206,8 +206,7 @@ func main() {
 		deadlocks = flag.Bool("deadlocks", true, "attach the lock-order deadlock tool")
 		memchk    = flag.Bool("memcheck", true, "attach the memcheck tool")
 		highlevel = flag.Bool("highlevel", false, "attach the view-consistency (high-level race) checker")
-		tools     = flag.String("tools", "", "run this comma-separated tool set concurrently in one pass (e.g. lockset,djit,deadlock; 'all' for every tool); overrides -detector and the attach flags")
-		parallel  = flag.Int("parallel", 1, "shard the registered tools across N engine workers (>1 enables the parallel analysis engine)")
+		tools     = flag.String("tools", "", "run this comma-separated tool set in one pass (e.g. lockset,djit,deadlock; 'all' for every tool); overrides -detector and the attach flags")
 	)
 	flag.Parse()
 
@@ -228,7 +227,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := core.Options{Seed: *seed, Deadlocks: *deadlocks, Memcheck: *memchk, HighLevel: *highlevel, Parallel: *parallel}
+	opt := core.Options{Seed: *seed, Deadlocks: *deadlocks, Memcheck: *memchk, HighLevel: *highlevel}
 	switch *detector {
 	case "lockset":
 		opt.Detector = core.DetectorLockset
@@ -260,8 +259,8 @@ func main() {
 	}
 	label := fmt.Sprintf("%s/%s", *detector, *config)
 	if *tools != "" {
-		// The registry path: every named tool runs concurrently over one
-		// pass of the stream, using the configs assembled above.
+		// The registry path: every named tool runs over one pass of the
+		// stream, using the configs assembled above.
 		specs, err := opt.ParseTools(*tools)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "racecheck:", err)
@@ -277,11 +276,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racecheck:", err)
 		os.Exit(1)
 	}
-	mode := ""
-	if *parallel > 1 {
-		mode = fmt.Sprintf(", %d-shard engine", *parallel)
-	}
-	fmt.Printf("== workload %q under %s (seed %d%s)\n\n", *workload, label, *seed, mode)
+	fmt.Printf("== workload %q under %s (seed %d)\n\n", *workload, label, *seed)
 	fmt.Print(res.Report())
 	if res.Err != nil {
 		fmt.Printf("\nguest execution ended abnormally: %v\n", res.Err)

@@ -98,7 +98,7 @@ func describe(s *scenario.Scenario) {
 func printReport(s *scenario.Scenario, sched int64) error {
 	describe(s)
 
-	res, err := scenario.RunLive(s, true, sched, 1)
+	res, err := scenario.RunLive(s, true, sched)
 	if err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func printReport(s *scenario.Scenario, sched int64) error {
 		fmt.Printf("  %-18s expected %d found %d\n", tl.Family, tl.Expected, tl.Found)
 	}
 
-	ctl, err := scenario.RunLive(s, false, sched, 1)
+	ctl, err := scenario.RunLive(s, false, sched)
 	if err != nil {
 		return err
 	}

@@ -98,7 +98,6 @@ func main() {
 		toolList  = flag.String("tools", "all", "tool registry for -verify and -inproc (must match the server's)")
 		verify    = flag.Bool("verify", false, "compare every returned report (and every server-side incremental snapshot) against an offline replay of the same trace")
 		aggregate = flag.Bool("aggregate", false, "finish by querying and printing the server's aggregate report")
-		parallel  = flag.Int("parallel", 1, "per-session engine shards for -inproc")
 		interval  = flag.Duration("report-interval", 0, "incremental-report interval for -inproc (0 disables)")
 		query     = flag.String("query", "", "run one query against -addr, print the response, and exit (e.g. stats, aggregate, sessions)")
 		flood     = flag.Bool("flood", false, "overload mode: a session the server rejects with a typed busy error counts as shed load, not failure (disables -verify comparison; degraded reports differ from offline replays by design)")
@@ -142,7 +141,7 @@ func main() {
 	target := *addr
 	if *inproc {
 		srv, err := ingest.NewServer(ingest.Config{
-			Tools: tools, Shards: *parallel, MaxSessions: *sessions,
+			Tools: tools, MaxSessions: *sessions,
 			ReportInterval: *interval,
 		})
 		if err != nil {
@@ -187,7 +186,7 @@ func main() {
 	wantManifest := make(map[string]string, len(traces))
 	if *verify {
 		for _, tr := range traces {
-			pipe, err := engine.NewPipeline(engine.Options{Tools: tools(), Resolver: scenario.Resolver(tr.md)})
+			pipe, err := engine.NewSequential(engine.Options{Tools: tools(), Resolver: scenario.Resolver(tr.md)})
 			if err != nil {
 				fail("offline pipeline: %v", err)
 			}

@@ -6,14 +6,13 @@
 //
 // With -tools the replay runs the registry's one-pass mode instead: every
 // named tool — several race detectors and all auxiliary checkers — analyses
-// the trace concurrently over a SINGLE decode, sequentially or sharded.
+// the trace over a SINGLE decode.
 //
 // Usage:
 //
 //	tracereplay                     # record T2 in memory, replay 3 configs
 //	tracereplay -case T5 -log /tmp/t5.trace
-//	tracereplay -parallel 8         # replay through the sharded engine
-//	tracereplay -tools all -parallel 4
+//	tracereplay -tools all          # one decode through every tool
 package main
 
 import (
@@ -40,11 +39,10 @@ import (
 
 func main() {
 	var (
-		caseID   = flag.String("case", "T2", "test case T1..T8")
-		seed     = flag.Int64("seed", 1, "scheduler seed")
-		logPath  = flag.String("log", "", "write the binary trace to this file (default: in memory)")
-		tools    = flag.String("tools", "", "replay once through this comma-separated tool set in one decode (e.g. lockset,djit,deadlock; 'all' for every tool) instead of the per-config loop")
-		parallel = flag.Int("parallel", 1, "replay through the sharded analysis engine with N workers (>1)")
+		caseID  = flag.String("case", "T2", "test case T1..T8")
+		seed    = flag.Int64("seed", 1, "scheduler seed")
+		logPath = flag.String("log", "", "write the binary trace to this file (default: in memory)")
+		tools   = flag.String("tools", "", "replay once through this comma-separated tool set in one decode (e.g. lockset,djit,deadlock; 'all' for every tool) instead of the per-config loop")
 	)
 	flag.Parse()
 
@@ -97,7 +95,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracereplay:", err)
 			os.Exit(2)
 		}
-		col, err := replayOnce(specs, v, *parallel, sinkBuf.Bytes())
+		col, err := replayOnce(specs, v, sinkBuf.Bytes())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracereplay:", err)
 			os.Exit(1)
@@ -113,73 +111,29 @@ func main() {
 			fmt.Printf("%-20s %10d\n", n, byTool[n])
 		}
 		fmt.Printf("%-20s %10d\n", "total", col.Locations())
-		fmt.Printf("\n%d tool(s) analysed the trace concurrently over a SINGLE decode;\n", len(specs))
-		if *parallel > 1 {
-			fmt.Printf("the run was sharded across %d engine workers and the merged report is\n", *parallel)
-			fmt.Println("byte-identical to the sequential single-pass result.")
-		} else {
-			fmt.Println("rerun with -parallel N to shard the same pass across engine workers.")
-		}
+		fmt.Printf("\n%d tool(s) analysed the trace over a SINGLE decode.\n", len(specs))
 		return
 	}
 
-	// Phase 2: replay the identical interleaving into each configuration,
-	// sequentially or through the sharded engine.
+	// Phase 2: replay the identical interleaving into each configuration.
 	fmt.Printf("%-10s %10s\n", "config", "locations")
 	for _, det := range harness.PaperConfigs() {
-		var col *report.Collector
-		if *parallel > 1 {
-			eng, err := engine.New(engine.Options{
-				Shards:   *parallel,
-				Tools:    []trace.ToolSpec{lockset.Spec(det.Cfg)},
-				Resolver: v, // resolver from the recording VM
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tracereplay: engine:", err)
-				os.Exit(1)
-			}
-			if _, err := eng.ReplayLog(bytes.NewReader(sinkBuf.Bytes())); err != nil {
-				fmt.Fprintln(os.Stderr, "tracereplay: replay:", err)
-				os.Exit(1)
-			}
-			if col, err = eng.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tracereplay: engine:", err)
-				os.Exit(1)
-			}
-		} else {
-			col = report.NewCollector(v, nil) // resolver from the recording VM
-			d := lockset.New(det.Cfg, col)
-			if _, err := tracelog.Replay(bytes.NewReader(sinkBuf.Bytes()), d); err != nil {
-				fmt.Fprintln(os.Stderr, "tracereplay: replay:", err)
-				os.Exit(1)
-			}
+		col := report.NewCollector(v, nil) // resolver from the recording VM
+		d := lockset.New(det.Cfg, col)
+		if _, err := tracelog.Replay(bytes.NewReader(sinkBuf.Bytes()), d); err != nil {
+			fmt.Fprintln(os.Stderr, "tracereplay: replay:", err)
+			os.Exit(1)
 		}
 		fmt.Printf("%-10s %10d\n", det.Name, col.Locations())
 	}
 	fmt.Println("\nall three configurations analysed the SAME interleaving — the offline")
 	fmt.Println("capability the paper notes on-the-fly checkers give up (§2.2).")
-	if *parallel > 1 {
-		fmt.Printf("each replay ran sharded across %d engine workers; the merged reports are\n", *parallel)
-		fmt.Println("deterministic and identical to a sequential replay of the same log.")
-	}
 }
 
-// replayOnce streams one decode of the log through all specs, sequentially
-// or sharded, and returns the merged collector.
-func replayOnce(specs []trace.ToolSpec, res trace.Resolver, parallel int, log []byte) (*report.Collector, error) {
-	opt := engine.Options{Tools: specs, Resolver: res}
-	if parallel > 1 {
-		opt.Shards = parallel
-		eng, err := engine.New(opt)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-			return nil, err
-		}
-		return eng.Close()
-	}
-	seq, err := engine.NewSequential(opt)
+// replayOnce streams one decode of the log through all specs and returns the
+// merged collector.
+func replayOnce(specs []trace.ToolSpec, res trace.Resolver, log []byte) (*report.Collector, error) {
+	seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: res})
 	if err != nil {
 		return nil, err
 	}

@@ -7,24 +7,23 @@
 //
 // # Analysis pipelines
 //
-// Analysis runs in three modes, all producing byte-identical reports:
+// Analysis runs in two modes, both producing byte-identical reports through
+// the same pipeline (engine.Sequential):
 //
 //   - online: the tool pipeline attached to the VM observes events as the
 //     guest executes (internal/core, the paper's on-the-fly mode);
 //   - offline: a recorded binary trace (internal/tracelog) is replayed into
-//     the same pipeline post-mortem (§2.2);
-//   - parallel: internal/engine shards the stream — recorded or live —
-//     across N worker cores.
+//     the same pipeline post-mortem (§2.2).
 //
 // # The tool registry
 //
 // Where the paper runs each analysis as a separate Valgrind tool — one
 // execution per tool, and one replay per detector configuration — this
 // reproduction registers any number of tools (trace.ToolSpec) and runs them
-// all concurrently over a SINGLE pass of the event stream: several race
-// detector configurations side by side, plus the lock-order deadlock
-// detector, memcheck and the view-consistency checker. Each detector
-// package exports a Spec constructor declaring its name and routing class;
+// all over a SINGLE pass of the event stream: several race detector
+// configurations side by side, plus the lock-order deadlock detector,
+// memcheck and the view-consistency checker. Each detector package exports a
+// Spec constructor declaring its name and routing class;
 // core.Options.Tools (or the -tools flag of racecheck, tracereplay and
 // perfbench) selects the registry for a run.
 //
@@ -38,66 +37,41 @@
 // stamped per event, so the report is the one event-by-event delivery gives.
 // A tool that panics is disabled from that event on (trace.SafeSink keeps the
 // error for Close) and its siblings are unaffected; a partly filled batch is
-// delivered by Snapshot and Close. The sharded engine's workers deliver event
-// by event, each instance behind its own trace.SafeSink. At the end of the
-// stream, end-of-phase passes (trace.Finisher) run, and report.Merge folds
-// all collectors into one report ordered by global first-seen occurrence —
-// across tools and, in the parallel mode, across shards.
+// delivered by Snapshot and Close. At the end of the stream, end-of-phase
+// passes (trace.Finisher) run, and report.Merge folds all collectors into one
+// report ordered by global first-seen occurrence across tools.
 //
-// # The sharded engine (internal/engine)
+// # The engine (internal/engine)
 //
-// The engine decodes the event stream once, on the dispatcher goroutine,
-// and fans it out to N shard workers over bounded batched channels
-// (backpressure, no unbounded queues). How much of the stream a tool's
-// instances see is the tool's routing class (trace.Routing), which encodes
-// the soundness argument for parallelising it:
+// engine.Sequential decodes the event stream once, on the caller's
+// goroutine, and delivers every event to every registered tool; the merged
+// multi-tool report is deterministic and the same whether the stream is live
+// or replayed. Tools share no state, so one pass over all of them equals
+// running each alone and merging the reports — pinned for all six tools at
+// once under all three paper configurations.
 //
-//   - block-routed (trace.RouteBlock — lockset, DJIT, hybrid, memcheck):
-//     one instance per shard. Events naming a heap block (accesses, allocs,
-//     frees, client requests) go only to the shard owning that block
-//     (trace.Shard of its BlockID); synchronisation, segment and
-//     thread-lifecycle events are broadcast to all shards. This is sound
-//     because these tools keep their warning-producing shadow state per
-//     block and warn only from block-carrying events, while their
-//     thread/lock/segment state derives purely from broadcast events and
-//     therefore evolves identically in every shard. Memcheck is the extreme
-//     case: its whole state is the per-block freed flag, so it needs only
-//     its own block's events.
-//   - broadcast (trace.RouteBroadcast — deadlock): one pinned instance fed
-//     the broadcast substream only. The lock-order graph is global — no
-//     partition of it preserves cycles — but it is built exclusively from
-//     acquire/contended/release events, which every shard observes in full
-//     order anyway; the engine simply designates one home shard.
-//   - single-shard (trace.RouteSingle — highlevel): one pinned instance fed
-//     the complete stream; the engine additionally forwards every block
-//     event to its home shard. View consistency correlates accesses to
-//     different blocks made under one critical section, so neither a block
-//     partition nor the broadcast substream suffices.
-//
-// The merged multi-tool report is deterministic — independent of goroutine
-// scheduling and of the shard count — and byte-identical to the sequential
-// single-pass pipeline (engine.Sequential) over the same stream, live or
-// replayed. This invariant is tested for all tools at once, under all three
-// paper configurations, at 1/4/8 shards.
+// A tool's routing class (trace.Routing) does not change what it sees. It is
+// the tool's shed priority under overload: the ingest server's degradation
+// ladder never sheds the block-routed core detectors (trace.RouteBlock —
+// lockset, DJIT, hybrid, memcheck), sheds the single-routed view-consistency
+// checker first (trace.RouteSingle — highlevel) and the broadcast lock-order
+// detector above that (trace.RouteBroadcast — deadlock).
 //
 // # The snapshot lifecycle
 //
-// Both pipelines additionally support mid-stream snapshots
-// (engine.Pipeline.Snapshot): a non-perturbing checkpoint that returns the
+// The pipeline additionally supports mid-stream snapshots
+// (engine.Sequential.Snapshot): a non-perturbing checkpoint that returns the
 // deterministic merged report of everything analysed so far while the stream
-// keeps flowing. The sharded engine quiesces with a per-shard barrier — the
-// dispatcher flushes its partial batches, sends a marker down every shard
-// channel, and waits until every worker has drained its queue up to the
-// marker and parked; each instance collector is then deep-copied through the
-// trace.Snapshotter capability (report.Collector.Clone) and the workers
-// resume. Because sites are ordered by first-seen sequence, a snapshot's
-// site manifest (report.Collector.Manifest) is always a prefix-consistent
-// subset of the final manifest (report.PrefixConsistent): same leading
-// sites, counts not yet complete. Taking snapshots at any points never
-// changes the final report — byte-identical to a snapshot-free run, pinned
-// by TestSnapshotDeterminism for all six tools at 1/4/8 shards under -race.
-// Finisher passes do not run at snapshots (they may mutate tool state), so
-// end-of-stream-only warnings appear only in the final report.
+// keeps flowing. It delivers the partly filled batch, deep-copies every
+// tool's collector (report.Collector.Clone) and merges the copies. Because
+// sites are ordered by first-seen sequence, a snapshot's site manifest
+// (report.Collector.Manifest) is always a prefix-consistent subset of the
+// final manifest (report.PrefixConsistent): same leading sites, counts not
+// yet complete. Taking snapshots at any points never changes the final
+// report — byte-identical to a snapshot-free run, pinned by
+// TestSnapshotDeterminism for all six tools under -race. Finisher passes do
+// not run at snapshots (they may mutate tool state), so end-of-stream-only
+// warnings appear only in the final report.
 //
 // # Conformance scenarios (internal/scenario)
 //
@@ -121,9 +95,9 @@
 // report it under EVERY scheduler seed), and every scenario has a bug-free
 // control variant that must produce zero warnings. The conformance suite
 // (internal/scenario/scenario_conformance_test.go) runs each scenario
-// through all six tools under {sequential, 4-shard, 8-shard} × {live,
-// offline-replay} across several scheduler seeds and asserts byte-identical
-// reports across shapes, zero catalog false negatives and clean controls.
+// through all six tools live and as an offline replay across several
+// scheduler seeds and asserts byte-identical reports across both shapes,
+// zero catalog false negatives and clean controls.
 //
 // cmd/scenariogen generates, describes and verifies scenarios; a committed
 // golden corpus (internal/scenario/testdata/golden) pins the generator and
@@ -140,8 +114,8 @@
 // long-running daemon accepting many concurrent connections (unix socket or
 // TCP), each carrying one length-framed trace stream; every connection
 // becomes an independent session analysed by its own engine pipeline
-// (engine.NewPipeline — sequential or sharded), so a session's report is
-// byte-identical to an offline replay of the same trace.
+// (engine.Sequential), so a session's report is byte-identical to an
+// offline replay of the same trace.
 //
 //   - Framing (internal/tracelog frame layer): a framed stream is a 4-byte
 //     magic plus [kind][uvarint length][payload] frames; the offline log
@@ -175,9 +149,10 @@
 //     running aggregate collector (counts, summaries and merged warnings
 //     preserved exactly — folding is aggregate-preserving) and their
 //     per-session state is evicted.
-//   - Bounded memory: per session via the engine's bounded batch channels
-//     (backpressure propagates to the socket and flow-controls the client),
-//     across sessions via the MaxSessions slots plus the retention policy.
+//   - Bounded memory: per session via the engine's fixed-size batch (the
+//     stream is read only as fast as the tools consume it, which
+//     flow-controls the client), across sessions via the MaxSessions slots
+//     plus the retention policy.
 //     Config.IdleTimeout fails sessions whose clients stall, so they stop
 //     holding slots.
 //   - Shutdown flushes: in-flight sessions get a grace period to drain and
@@ -238,10 +213,10 @@
 // with the rest of the frame layer; see the README's "The router tier"
 // section for the wire diagram and operational details.
 //
-// Dynamic counters that must survive sharding (memcheck's error and leak
-// totals) flow through trace.Summarizer: the engine sums SummaryCounts per
-// tool across shard instances, so core.Result.Summaries — and the ingest
-// aggregate — report the same totals at every shard count.
+// Dynamic counters without a warning site (memcheck's error and leak totals)
+// flow through trace.Summarizer: the engine collects SummaryCounts per tool
+// into core.Result.Summaries and each session's summaries, which the ingest
+// aggregate sums across sessions.
 //
 // # Self-observability (internal/obs)
 //

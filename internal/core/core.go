@@ -15,11 +15,10 @@
 //
 // Every analysis is a registered tool: the race detectors (lock-set, DJIT,
 // hybrid) and the auxiliary checkers (lock-order deadlock detection,
-// memcheck, view-consistency) all run concurrently over a single pass of the
-// event stream, sequentially by default or sharded across Options.Parallel
-// engine workers — with byte-identical reports either way. The paper's three
-// evaluation configurations are available as OptionsOriginal, OptionsHWLC
-// and OptionsHWLCDR.
+// memcheck, view-consistency) all run over a single pass of the event
+// stream through one engine pipeline. The paper's three evaluation
+// configurations are available as OptionsOriginal, OptionsHWLC and
+// OptionsHWLCDR.
 package core
 
 import (
@@ -108,13 +107,6 @@ type Options struct {
 	Quantum int
 	// MaxSteps bounds the run.
 	MaxSteps int64
-	// Parallel > 1 runs the registered tools sharded across that many
-	// workers of the analysis engine (internal/engine), consuming the VM
-	// event stream live: block-routed tools get an instance per shard,
-	// broadcast and single-shard tools run as pinned instances inside the
-	// engine. The merged report is byte-identical to the sequential
-	// single-pass result.
-	Parallel int
 }
 
 // OptionsOriginal mirrors the paper's first experimental configuration.
@@ -247,22 +239,14 @@ type Result struct {
 	Steps int64
 	// Summaries holds the per-tool end-of-run counter rollups of every
 	// registered tool implementing trace.Summarizer, keyed by tool report
-	// name. Unlike the *Detector fields below, the summaries are
-	// shard-count-independent: under Parallel > 1 the engine sums the
-	// counters of all shard instances, so e.g. memcheck's error and leak
-	// totals are identical between sequential and parallel runs.
+	// name (e.g. memcheck's error and leak totals).
 	Summaries map[string]trace.ToolSummary
-	// LocksetDetector is set when exactly one lock-set detector instance ran
-	// (for its dynamic counters). It is nil under Parallel > 1, where the
-	// detector exists once per engine shard.
+	// LocksetDetector is set when a lock-set detector ran (the first one
+	// registered), for its dynamic counters.
 	LocksetDetector *lockset.Detector
-	// DeadlockDetector is set when the lock-order tool ran (it is a pinned
-	// single instance even under Parallel > 1).
+	// DeadlockDetector is set when the lock-order tool ran.
 	DeadlockDetector *deadlock.Detector
-	// MemcheckDetector is set when memcheck ran sequentially. It is nil
-	// under Parallel > 1, where memcheck is sharded per block; use
-	// Summaries["memcheck"] for the error and leak totals, which survive
-	// sharding.
+	// MemcheckDetector is set when memcheck ran.
 	MemcheckDetector *memcheck.Detector
 	// HighLevelDetector is set when the view-consistency checker ran.
 	HighLevelDetector *highlevel.Detector
@@ -273,11 +257,6 @@ func (r *Result) Locations() int { return r.Collector.Locations() }
 
 // Report renders the warnings in Helgrind-like format.
 func (r *Result) Report() string { return r.Collector.Format() }
-
-// pipeline is engine.Pipeline: the shared surface of engine.Engine and
-// engine.Sequential. Both consume the live stream as a trace.Sink and finish
-// the same way.
-type pipeline = engine.Pipeline
 
 // Run executes the guest program under the configured tools. The returned
 // error covers configuration problems only; guest failures (panic, deadlock,
@@ -300,16 +279,10 @@ func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
 	}
 	res := &Result{VM: machine}
 
-	// Both paths run the same registry over one pass of the stream; the only
-	// difference is whether events fan out to shard workers or are delivered
-	// inline. Reports are byte-identical between the two.
-	var pipe pipeline
+	// The registry consumes the VM's event stream live, in one pass.
+	var pipe *engine.Sequential
 	if len(specs) > 0 {
-		eopt := engine.Options{Tools: specs, Resolver: machine, Suppressor: sup}
-		if opt.Parallel > 1 {
-			eopt.Shards = opt.Parallel
-		}
-		pipe, err = engine.NewPipeline(eopt)
+		pipe, err = engine.NewSequential(engine.Options{Tools: specs, Resolver: machine, Suppressor: sup})
 		if err != nil {
 			return nil, fmt.Errorf("core: engine: %w", err)
 		}
@@ -328,15 +301,9 @@ func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
 	}
 	res.Collector = merged
 	res.Summaries = pipe.Summaries()
-	// Surface the concrete detector instances for their dynamic counters —
-	// only where exactly one instance exists (sharded tools have one per
-	// worker under Parallel > 1).
+	// Surface the concrete detector instances for their dynamic counters.
 	for _, spec := range specs {
-		insts := pipe.Tool(spec.Name)
-		if len(insts) != 1 {
-			continue
-		}
-		switch det := insts[0].(type) {
+		switch det := pipe.Tool(spec.Name).(type) {
 		case *lockset.Detector:
 			if res.LocksetDetector == nil {
 				res.LocksetDetector = det

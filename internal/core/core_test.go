@@ -233,9 +233,8 @@ func TestRunHighLevelDetector(t *testing.T) {
 	}
 }
 
-// abbaProgram mixes lock-order inversion (aux deadlock tool, sequential
-// path) with unlocked counter races (race detector, engine path under
-// Parallel), to exercise the merged report.
+// abbaProgram mixes lock-order inversion (aux deadlock tool) with unlocked
+// counter races (race detector), to exercise the merged report.
 func abbaProgram(main *vm.Thread) {
 	v := main.VM()
 	m1, m2 := v.NewMutex("A"), v.NewMutex("B")
@@ -260,23 +259,4 @@ func abbaProgram(main *vm.Thread) {
 	main.Join(a)
 	main.Join(c)
 	b.Store32(main, 0, 0)
-}
-
-func TestRunParallelMatchesSequential(t *testing.T) {
-	for _, detector := range []DetectorKind{DetectorLockset, DetectorDJIT, DetectorHybrid} {
-		seq, err := Run(Options{Seed: 5, Detector: detector, Deadlocks: true, Memcheck: true}, abbaProgram)
-		if err != nil || seq.Err != nil {
-			t.Fatalf("%s sequential: %v / %v", detector, err, seq.Err)
-		}
-		par, err := Run(Options{Seed: 5, Detector: detector, Deadlocks: true, Memcheck: true, Parallel: 4}, abbaProgram)
-		if err != nil || par.Err != nil {
-			t.Fatalf("%s parallel: %v / %v", detector, err, par.Err)
-		}
-		if par.Locations() != seq.Locations() {
-			t.Errorf("%s: parallel locations = %d, sequential = %d", detector, par.Locations(), seq.Locations())
-		}
-		if got, want := par.Report(), seq.Report(); got != want {
-			t.Errorf("%s: parallel report differs\n--- sequential ---\n%s\n--- parallel ---\n%s", detector, want, got)
-		}
-	}
 }

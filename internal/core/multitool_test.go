@@ -71,10 +71,10 @@ func kitchenSink(main *vm.Thread) {
 }
 
 // TestRunMultiToolDeterminism is the acceptance criterion: a single core.Run
-// executes lockset + DJIT + hybrid + deadlock + memcheck + highlevel
-// concurrently in the sharded engine, and the merged report is byte-identical
-// across shard counts 1/4/8 to the sequential single-pass result — under all
-// three paper configurations.
+// executes lockset + DJIT + hybrid + deadlock + memcheck + highlevel over one
+// pass of the stream, every tool reports, and a second run with the same seed
+// produces a byte-identical merged report — under all three paper
+// configurations.
 func TestRunMultiToolDeterminism(t *testing.T) {
 	for name, cfg := range map[string]lockset.Config{
 		"Original": lockset.ConfigOriginal(),
@@ -95,22 +95,18 @@ func TestRunMultiToolDeterminism(t *testing.T) {
 				t.Errorf("%s: tool %s reported nothing; kitchenSink no longer exercises it", name, tool)
 			}
 		}
-		for _, shards := range []int{1, 4, 8} {
-			par, err := Run(Options{Seed: 5, Tools: fullRegistry(cfg), Parallel: shards}, kitchenSink)
-			if err != nil || par.Err != nil {
-				t.Fatalf("%s parallel-%d: %v / %v", name, shards, err, par.Err)
-			}
-			if got := par.Report(); got != want {
-				t.Errorf("%s: parallel-%d report differs from sequential single pass\n--- sequential ---\n%s\n--- parallel ---\n%s",
-					name, shards, want, got)
-			}
+		again, err := Run(Options{Seed: 5, Tools: fullRegistry(cfg)}, kitchenSink)
+		if err != nil || again.Err != nil {
+			t.Fatalf("%s second run: %v / %v", name, err, again.Err)
+		}
+		if got := again.Report(); got != want {
+			t.Errorf("%s: second run's report differs\n--- first ---\n%s\n--- second ---\n%s", name, want, got)
 		}
 	}
 }
 
-// TestRunMultiToolDetectorPointers: the pinned aux instances stay reachable
-// for their dynamic counters even when the run is sharded; per-shard
-// detectors do not (there is no single instance to return).
+// TestRunMultiToolDetectorPointers: every detector instance of a full
+// registry run stays reachable for its dynamic counters.
 func TestRunMultiToolDetectorPointers(t *testing.T) {
 	seq, err := Run(Options{Seed: 5, Tools: fullRegistry(lockset.ConfigHWLCDR())}, kitchenSink)
 	if err != nil {
@@ -127,19 +123,6 @@ func TestRunMultiToolDetectorPointers(t *testing.T) {
 	}
 	if seq.HighLevelDetector.Violations() == 0 {
 		t.Error("view split not counted by the view-consistency checker")
-	}
-	par, err := Run(Options{Seed: 5, Tools: fullRegistry(lockset.ConfigHWLCDR()), Parallel: 4}, kitchenSink)
-	if err != nil {
-		t.Fatalf("Run parallel: %v", err)
-	}
-	if par.LocksetDetector != nil || par.MemcheckDetector != nil {
-		t.Error("sharded block-routed detectors must not pretend to have a single instance")
-	}
-	if par.DeadlockDetector == nil || par.DeadlockDetector.Cycles() == 0 {
-		t.Error("pinned deadlock instance must stay reachable under Parallel > 1")
-	}
-	if par.HighLevelDetector == nil || par.HighLevelDetector.Violations() == 0 {
-		t.Error("pinned highlevel instance must stay reachable under Parallel > 1")
 	}
 }
 

@@ -58,8 +58,7 @@ func TestParseToolsAll(t *testing.T) {
 }
 
 // TestParseToolsDuplicate: ParseTools happily returns duplicate names (the
-// registry is a list), and the duplicate is rejected by engine validation —
-// identically for sequential and sharded runs.
+// registry is a list), and the duplicate is rejected by engine validation.
 func TestParseToolsDuplicate(t *testing.T) {
 	specs, err := Options{}.ParseTools("lockset,lockset")
 	if err != nil {
@@ -68,11 +67,9 @@ func TestParseToolsDuplicate(t *testing.T) {
 	if len(specs) != 2 {
 		t.Fatalf("got %d specs, want 2", len(specs))
 	}
-	for _, parallel := range []int{1, 4} {
-		_, err := Run(Options{Tools: specs, Parallel: parallel}, func(main *vm.Thread) {})
-		if err == nil || !strings.Contains(err.Error(), "duplicate tool name") {
-			t.Errorf("Run(parallel=%d) with duplicate tools: err = %v, want duplicate-name error", parallel, err)
-		}
+	_, err = Run(Options{Tools: specs}, func(main *vm.Thread) {})
+	if err == nil || !strings.Contains(err.Error(), "duplicate tool name") {
+		t.Errorf("Run with duplicate tools: err = %v, want duplicate-name error", err)
 	}
 }
 

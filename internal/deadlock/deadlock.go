@@ -42,10 +42,8 @@ type Detector struct {
 }
 
 // Spec registers the detector with the analysis engine's tool registry. The
-// lock-order tool warns from broadcast events (acquire/contended) and keeps
-// a single global lock-order graph, so it runs as one instance consuming the
-// broadcast substream — which any one shard observes in full — and needs no
-// block-carrying events at all.
+// lock-order tool is broadcast-routed: an auxiliary checker the overload
+// ladder sheds at high pressure, after the single-routed tools.
 func Spec(cfg Config) trace.ToolSpec {
 	if cfg.Tool == "" {
 		cfg.Tool = "helgrind-deadlock"

@@ -144,7 +144,7 @@ func TestSequentialPanicMidBatch(t *testing.T) {
 				if got != want {
 					t.Errorf("%s: the other tools' report changed:\n--- with the panicking tool ---\n%s--- without ---\n%s", name, got, want)
 				}
-				if seen := seq.Tool("panicky")[0].(*poisonTool).seen; seen != k+1 {
+				if seen := seq.Tool("panicky").(*poisonTool).seen; seen != k+1 {
 					t.Errorf("%s: the tool was handed %d events, want the %d before the panic and the one that caused it", name, seen, k)
 				}
 				if n := met.ToolPanics.Value(); n != 1 {

@@ -59,10 +59,29 @@ func paperConfigs() map[string]lockset.Config {
 	}
 }
 
+// replayOne runs a recorded log through a Sequential over opt's registry and
+// returns the merged report and the event count.
+func replayOne(t *testing.T, log []byte, opt engine.Options) (*report.Collector, int64) {
+	t.Helper()
+	seq, err := engine.NewSequential(opt)
+	if err != nil {
+		t.Fatalf("NewSequential: %v", err)
+	}
+	events, err := seq.ReplayLog(bytes.NewReader(log))
+	if err != nil {
+		t.Fatalf("ReplayLog: %v", err)
+	}
+	merged, err := seq.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return merged, events
+}
+
 // TestEngineMatchesSequentialReplay is the determinism contract: for a fixed
-// recorded trace, the engine's merged output with 1, 4 and 8 shards is
-// byte-identical to sequential tracelog.Replay output — same warnings, same
-// order, same counts — under all three paper configurations.
+// recorded trace, the pipeline's merged output is byte-identical to a plain
+// tracelog.Replay into the bare detector — same warnings, same order, same
+// counts — under all three paper configurations.
 func TestEngineMatchesSequentialReplay(t *testing.T) {
 	log, v := recordSIP(t)
 	for name, cfg := range paperConfigs() {
@@ -76,41 +95,23 @@ func TestEngineMatchesSequentialReplay(t *testing.T) {
 		if seqCol.Locations() == 0 {
 			t.Fatalf("%s: sequential replay found no warnings; test workload is broken", name)
 		}
-		for _, shards := range []int{1, 4, 8} {
-			eng, err := engine.New(engine.Options{
-				Shards:   shards,
-				Factory:  lockset.Factory(cfg),
-				Resolver: v,
-			})
-			if err != nil {
-				t.Fatalf("%s/%d: New: %v", name, shards, err)
-			}
-			events, err := eng.ReplayLog(bytes.NewReader(log))
-			if err != nil {
-				t.Fatalf("%s/%d: ReplayLog: %v", name, shards, err)
-			}
-			if events != seqEvents {
-				t.Errorf("%s/%d: dispatched %d events, sequential saw %d", name, shards, events, seqEvents)
-			}
-			merged, err := eng.Close()
-			if err != nil {
-				t.Fatalf("%s/%d: Close: %v", name, shards, err)
-			}
-			if got := merged.Format(); got != want {
-				t.Errorf("%s/%d shards: merged output differs from sequential replay\n--- sequential ---\n%s\n--- merged ---\n%s",
-					name, shards, want, got)
-			}
-			if merged.Locations() != seqCol.Locations() || merged.Occurrences() != seqCol.Occurrences() {
-				t.Errorf("%s/%d: locations/occurrences = %d/%d, sequential = %d/%d",
-					name, shards, merged.Locations(), merged.Occurrences(), seqCol.Locations(), seqCol.Occurrences())
-			}
+		merged, events := replayOne(t, log, engine.Options{Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: v})
+		if events != seqEvents {
+			t.Errorf("%s: dispatched %d events, sequential saw %d", name, events, seqEvents)
+		}
+		if got := merged.Format(); got != want {
+			t.Errorf("%s: merged output differs from sequential replay\n--- sequential ---\n%s\n--- merged ---\n%s",
+				name, want, got)
+		}
+		if merged.Locations() != seqCol.Locations() || merged.Occurrences() != seqCol.Occurrences() {
+			t.Errorf("%s: locations/occurrences = %d/%d, sequential = %d/%d",
+				name, merged.Locations(), merged.Occurrences(), seqCol.Locations(), seqCol.Occurrences())
 		}
 	}
 }
 
 // TestEngineMatchesSequentialDJIT runs the same determinism check with the
-// happens-before detector, whose clocks are driven purely by broadcast
-// events.
+// happens-before detector.
 func TestEngineMatchesSequentialDJIT(t *testing.T) {
 	log, v := recordSIP(t)
 	cfg := vectorclock.DefaultConfig()
@@ -118,28 +119,15 @@ func TestEngineMatchesSequentialDJIT(t *testing.T) {
 	if _, err := tracelog.Replay(bytes.NewReader(log), vectorclock.New(cfg, seqCol)); err != nil {
 		t.Fatalf("sequential replay: %v", err)
 	}
-	want := seqCol.Format()
-	for _, shards := range []int{1, 4, 8} {
-		eng, err := engine.New(engine.Options{Shards: shards, Factory: vectorclock.Factory(cfg), Resolver: v})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-			t.Fatalf("ReplayLog: %v", err)
-		}
-		merged, err := eng.Close()
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		if got := merged.Format(); got != want {
-			t.Errorf("djit/%d shards: merged output differs from sequential", shards)
-		}
+	merged, _ := replayOne(t, log, engine.Options{Tools: []trace.ToolSpec{vectorclock.Spec(cfg)}, Resolver: v})
+	if got, want := merged.Format(), seqCol.Format(); got != want {
+		t.Errorf("djit: merged output differs from sequential replay")
 	}
 }
 
-// TestEngineSuppressions checks that per-shard suppression matches the
-// sequential collector, including the suppressed-occurrence count in the
-// report trailer.
+// TestEngineSuppressions checks that suppression in the pipeline's
+// collectors matches a plain collector, including the suppressed-occurrence
+// count in the report trailer.
 func TestEngineSuppressions(t *testing.T) {
 	log, v := recordSIP(t)
 	const rules = `
@@ -159,17 +147,7 @@ func TestEngineSuppressions(t *testing.T) {
 	if _, err := tracelog.Replay(bytes.NewReader(log), lockset.New(cfg, seqCol)); err != nil {
 		t.Fatalf("sequential replay: %v", err)
 	}
-	eng, err := engine.New(engine.Options{Shards: 4, Factory: lockset.Factory(cfg), Resolver: v, Suppressor: sup})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-		t.Fatalf("ReplayLog: %v", err)
-	}
-	merged, err := eng.Close()
-	if err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	merged, _ := replayOne(t, log, engine.Options{Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: v, Suppressor: sup})
 	if got, want := merged.Format(), seqCol.Format(); got != want {
 		t.Errorf("suppressed merged output differs from sequential\n--- sequential ---\n%s\n--- merged ---\n%s", want, got)
 	}
@@ -178,8 +156,8 @@ func TestEngineSuppressions(t *testing.T) {
 	}
 }
 
-// TestEngineLiveStream attaches the engine directly to a running VM (no log
-// in between) and compares against the classic online detector.
+// TestEngineLiveStream attaches the pipeline directly to a running VM (no
+// log in between) and compares against the classic online detector.
 func TestEngineLiveStream(t *testing.T) {
 	workload := func(main *vm.Thread) {
 		v := main.VM()
@@ -215,9 +193,9 @@ func TestEngineLiveStream(t *testing.T) {
 	}
 
 	vLive := vm.New(vm.Options{Seed: 7})
-	eng, err := engine.New(engine.Options{Shards: 4, Factory: lockset.Factory(cfg), Resolver: vLive})
+	eng, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: vLive})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
 	vLive.AddTool(eng)
 	if err := vLive.Run(workload); err != nil {
@@ -251,9 +229,9 @@ func (p *panicSink) Access(a *trace.Access) {
 	p.col.Add(report.Warning{Tool: "panicky", Kind: report.KindRace, Block: a.Block, Stack: a.Stack})
 }
 
-// TestEnginePanicIsolation: a detector panicking in one shard must not kill
-// the replay; the other shards' findings survive and Close reports the
-// panic as an error.
+// TestEnginePanicIsolation: a detector panicking mid-stream must not kill
+// the replay; what it reported before the panic survives, it sees nothing
+// after, and Close reports the panic as an error.
 func TestEnginePanicIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	rec := tracelog.NewRecorder(&buf)
@@ -267,43 +245,36 @@ func TestEnginePanicIsolation(t *testing.T) {
 	rec.Flush()
 
 	const poison = trace.BlockID(3)
-	eng, err := engine.New(engine.Options{
-		Shards:  4,
-		Factory: func(col *report.Collector) trace.Sink { return &panicSink{col: col, poison: poison} },
-	})
+	seq, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{{
+		Name: "panicky", Routing: trace.RouteBlock,
+		Factory: func(col trace.Reporter) trace.Sink { return &panicSink{col: col, poison: poison} },
+	}}})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	if _, err := eng.ReplayLog(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := seq.ReplayLog(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReplayLog should survive a panicking tool, got: %v", err)
 	}
-	merged, err := eng.Close()
+	merged, err := seq.Close()
 	if err == nil {
 		t.Fatal("Close must report the tool panic")
 	}
-	// Every block outside the poisoned shard must still have been analysed.
-	poisonShard := trace.Shard(poison, 4)
-	want := 0
-	for b := trace.BlockID(1); b <= nBlocks; b++ {
-		if trace.Shard(b, 4) != poisonShard {
-			want++
-		}
-	}
-	if merged.Locations() < want {
-		t.Errorf("merged has %d sites, want at least %d from healthy shards", merged.Locations(), want)
+	if want := int(poison) - 1; merged == nil || merged.Locations() != want {
+		t.Errorf("merged report = %v, want the %d sites reported before the panic", merged, want)
 	}
 }
 
-// TestEngineCloseIdempotent: double Close and post-Close dispatch are safe.
+// TestEngineCloseIdempotent: Close of a pipeline that saw no events is
+// idempotent, and delivering after Close is safe.
 func TestEngineCloseIdempotent(t *testing.T) {
-	eng, err := engine.New(engine.Options{Shards: 2, Factory: lockset.Factory(lockset.ConfigHWLC())})
+	seq, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())}})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	a, errA := eng.Close()
-	b, errB := eng.Close()
+	a, errA := seq.Close()
+	b, errB := seq.Close()
 	if a != b || errA != nil || errB != nil {
 		t.Errorf("Close not idempotent: %v %v %v %v", a, b, errA, errB)
 	}
-	eng.Access(&trace.Access{Thread: 1, Block: 1, Size: 4}) // must not panic
+	seq.Access(&trace.Access{Thread: 1, Block: 1, Size: 4}) // must not panic
 }

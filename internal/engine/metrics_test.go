@@ -11,10 +11,10 @@ import (
 	"repro/internal/tracelog"
 )
 
-// TestEngineMetrics pins the engine's self-observability series: the decoded
-// event count is exact across snapshot and close boundaries (despite the
-// batched hot-path accumulation), batch and quiesce activity is visible, and
-// an absorbed tool panic lands on the panics counter.
+// TestEngineMetrics pins the engine's self-observability series: the
+// delivered event count is exact across snapshot and close boundaries,
+// batch and clone activity is visible, and an absorbed tool panic lands on
+// the panics counter.
 func TestEngineMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	rec := tracelog.NewRecorder(&buf)
@@ -26,52 +26,53 @@ func TestEngineMetrics(t *testing.T) {
 		rec.Access(&trace.Access{Thread: 1, Seg: 1, Block: b, Size: 4, Kind: trace.Write, Stack: trace.StackID(b)})
 	}
 	rec.Flush()
-	log := buf.Bytes()
 
-	for _, shards := range []int{1, 4} {
-		reg := obs.NewRegistry()
-		met := engine.NewMetrics(reg)
-		pipe, err := engine.NewPipeline(engine.Options{
-			Shards:    shards,
-			BatchSize: 8, // small batches so several flushes happen
-			Tools: []trace.ToolSpec{{
-				Name:    "panicky",
-				Routing: trace.RouteBlock,
-				Factory: func(col trace.Reporter) trace.Sink {
-					return &panicSink{col: col, poison: trace.BlockID(3)}
-				},
-			}},
-			Metrics: met,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: NewPipeline: %v", shards, err)
-		}
-		events, err := pipe.ReplayLog(bytes.NewReader(log))
-		if err != nil {
-			t.Fatalf("shards=%d: ReplayLog: %v", shards, err)
-		}
-		if _, err := pipe.Snapshot(); err != nil {
-			t.Fatalf("shards=%d: Snapshot: %v", shards, err)
-		}
-		// The snapshot boundary must have folded the batched count in full.
-		if got := met.EventsDecoded.Value(); got != events {
-			t.Errorf("shards=%d: events_decoded after snapshot = %d, want %d", shards, got, events)
-		}
-		if _, err := pipe.Close(); err == nil {
-			t.Fatalf("shards=%d: Close must report the tool panic", shards)
-		}
-		if got := met.EventsDecoded.Value(); got != events {
-			t.Errorf("shards=%d: events_decoded after close = %d, want %d", shards, got, events)
-		}
-		if got := met.ToolPanics.Value(); got != 1 {
-			t.Errorf("shards=%d: tool_panics = %d, want 1", shards, got)
-		}
-		if got := met.SnapshotQuiesceNs.Count(); got != 1 {
-			t.Errorf("shards=%d: quiesce observations = %d, want 1", shards, got)
-		}
-		if shards > 1 && met.BatchesFlushed.Value() == 0 {
-			t.Errorf("shards=%d: no batches counted", shards)
-		}
+	met := engine.NewMetrics(obs.NewRegistry())
+	seq, err := engine.NewSequential(engine.Options{
+		Tools: []trace.ToolSpec{{
+			Name:    "panicky",
+			Routing: trace.RouteBlock,
+			Factory: func(col trace.Reporter) trace.Sink {
+				return &panicSink{col: col, poison: trace.BlockID(3)}
+			},
+		}},
+		Metrics: met,
+	})
+	if err != nil {
+		t.Fatalf("NewSequential: %v", err)
+	}
+	events, err := seq.ReplayLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ReplayLog: %v", err)
+	}
+	if _, err := seq.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if got := met.EventsDecoded.Value(); got != events {
+		t.Errorf("events_decoded after snapshot = %d, want %d", got, events)
+	}
+	// Two events through the Sink methods: the snapshot-free Close delivers
+	// them as one more batch.
+	batches := met.BatchesFlushed.Value()
+	if batches == 0 {
+		t.Error("no batches counted for the replay")
+	}
+	seq.ThreadStart(2, 1)
+	seq.ThreadExit(2)
+	if _, err := seq.Close(); err == nil {
+		t.Fatal("Close must report the tool panic")
+	}
+	if got := met.EventsDecoded.Value(); got != events+2 {
+		t.Errorf("events_decoded after close = %d, want %d", got, events+2)
+	}
+	if got := met.BatchesFlushed.Value(); got != batches+1 {
+		t.Errorf("batches_flushed after close = %d, want %d", got, batches+1)
+	}
+	if got := met.ToolPanics.Value(); got != 1 {
+		t.Errorf("tool_panics = %d, want 1", got)
+	}
+	if got := met.SnapshotQuiesceNs.Count(); got != 1 {
+		t.Errorf("snapshot clone observations = %d, want 1", got)
 	}
 }
 
@@ -86,23 +87,22 @@ func TestEngineMetricsSharedAcrossPipelines(t *testing.T) {
 	rec.Flush()
 	log := buf.Bytes()
 
-	reg := obs.NewRegistry()
-	met := engine.NewMetrics(reg)
+	met := engine.NewMetrics(obs.NewRegistry())
 	var total int64
 	for i := 0; i < 3; i++ {
-		pipe, err := engine.NewPipeline(engine.Options{
-			Factory: lockset.Factory(lockset.ConfigHWLC()),
+		seq, err := engine.NewSequential(engine.Options{
+			Tools:   []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())},
 			Metrics: met,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := pipe.ReplayLog(bytes.NewReader(log))
+		n, err := seq.ReplayLog(bytes.NewReader(log))
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += n
-		if _, err := pipe.Close(); err != nil {
+		if _, err := seq.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,41 +112,37 @@ func TestEngineMetricsSharedAcrossPipelines(t *testing.T) {
 }
 
 // TestEngineMetricsConformance pins the hard observability requirement:
-// attaching a metrics registry must not change a single output byte, for the
-// sequential and the sharded pipeline alike.
+// attaching a metrics registry must not change a single output byte.
 func TestEngineMetricsConformance(t *testing.T) {
 	log, v := recordSIP(t)
-	for _, shards := range []int{1, 4} {
-		run := func(met *engine.Metrics) string {
-			t.Helper()
-			pipe, err := engine.NewPipeline(engine.Options{
-				Shards:   shards,
-				Tools:    []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())},
-				Resolver: v,
-				Metrics:  met,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pipe.ReplayLog(bytes.NewReader(log)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pipe.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			col, err := pipe.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col.Format()
+	run := func(met *engine.Metrics) string {
+		t.Helper()
+		seq, err := engine.NewSequential(engine.Options{
+			Tools:    []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())},
+			Resolver: v,
+			Metrics:  met,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		plain := run(nil)
-		instrumented := run(engine.NewMetrics(obs.NewRegistry()))
-		if plain != instrumented {
-			t.Errorf("shards=%d: report changed when metrics attached", shards)
+		if _, err := seq.ReplayLog(bytes.NewReader(log)); err != nil {
+			t.Fatal(err)
 		}
-		if plain == "" {
-			t.Fatalf("shards=%d: empty report; workload is broken", shards)
+		if _, err := seq.Snapshot(); err != nil {
+			t.Fatal(err)
 		}
+		col, err := seq.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col.Format()
+	}
+	plain := run(nil)
+	instrumented := run(engine.NewMetrics(obs.NewRegistry()))
+	if plain != instrumented {
+		t.Error("report changed when metrics attached")
+	}
+	if plain == "" {
+		t.Fatal("empty report; workload is broken")
 	}
 }

@@ -32,69 +32,45 @@ func allToolSpecs(cfg lockset.Config) []trace.ToolSpec {
 }
 
 // TestEngineMultiToolMatchesSequential is the registry determinism contract:
-// for a fixed recorded trace, the engine running ALL tools concurrently with
-// 1, 4 and 8 shards produces output byte-identical to the Sequential
-// single-pass pipeline — same warnings, same order, same counts — under all
-// three paper configurations.
+// for a fixed recorded trace, one pass running ALL tools produces output
+// byte-identical to running each tool alone over the same trace and merging
+// the reports — same warnings, same order, same counts — under all three
+// paper configurations. Tools share nothing, and one pass stamps every site
+// with the sequence number a one-tool pass would.
 func TestEngineMultiToolMatchesSequential(t *testing.T) {
 	log, v := recordSIP(t)
 	for name, cfg := range paperConfigs() {
-		seq, err := engine.NewSequential(engine.Options{Tools: allToolSpecs(cfg), Resolver: v})
-		if err != nil {
-			t.Fatalf("%s: NewSequential: %v", name, err)
-		}
-		seqEvents, err := seq.ReplayLog(bytes.NewReader(log))
-		if err != nil {
-			t.Fatalf("%s: sequential replay: %v", name, err)
-		}
-		seqCol, err := seq.Close()
-		if err != nil {
-			t.Fatalf("%s: sequential close: %v", name, err)
-		}
-		want := seqCol.Format()
+		all, events := replayOne(t, log, engine.Options{Tools: allToolSpecs(cfg), Resolver: v})
 		toolsSeen := map[string]bool{}
-		for _, w := range seqCol.Sites() {
+		for _, w := range all.Sites() {
 			toolsSeen[w.Tool] = true
 		}
 		if len(toolsSeen) < 3 {
 			t.Fatalf("%s: only %d tool(s) warned (%v); multi-tool test workload is too tame",
 				name, len(toolsSeen), toolsSeen)
 		}
-		for _, shards := range []int{1, 4, 8} {
-			eng, err := engine.New(engine.Options{
-				Shards:   shards,
-				Tools:    allToolSpecs(cfg),
-				Resolver: v,
-			})
-			if err != nil {
-				t.Fatalf("%s/%d: New: %v", name, shards, err)
+		var alone []*report.Collector
+		for _, spec := range allToolSpecs(cfg) {
+			col, n := replayOne(t, log, engine.Options{Tools: []trace.ToolSpec{spec}, Resolver: v})
+			if n != events {
+				t.Errorf("%s/%s: dispatched %d events, the one-pass run %d", name, spec.Name, n, events)
 			}
-			events, err := eng.ReplayLog(bytes.NewReader(log))
-			if err != nil {
-				t.Fatalf("%s/%d: ReplayLog: %v", name, shards, err)
-			}
-			if events != seqEvents {
-				t.Errorf("%s/%d: dispatched %d events, sequential saw %d", name, shards, events, seqEvents)
-			}
-			merged, err := eng.Close()
-			if err != nil {
-				t.Fatalf("%s/%d: Close: %v", name, shards, err)
-			}
-			if got := merged.Format(); got != want {
-				t.Errorf("%s/%d shards: multi-tool merged output differs from sequential single pass\n--- sequential ---\n%s\n--- merged ---\n%s",
-					name, shards, want, got)
-			}
-			if merged.Occurrences() != seqCol.Occurrences() {
-				t.Errorf("%s/%d: occurrences = %d, sequential = %d",
-					name, shards, merged.Occurrences(), seqCol.Occurrences())
-			}
+			alone = append(alone, col)
+		}
+		merged := report.Merge(v, nil, alone...)
+		if got, want := all.Format(), merged.Format(); got != want {
+			t.Errorf("%s: one-pass output differs from the merged one-tool runs\n--- one tool at a time ---\n%s\n--- one pass ---\n%s",
+				name, want, got)
+		}
+		if all.Occurrences() != merged.Occurrences() {
+			t.Errorf("%s: occurrences = %d, one tool at a time = %d", name, all.Occurrences(), merged.Occurrences())
 		}
 	}
 }
 
 // TestEngineLiveMultiToolMatchesOffline attaches the full registry to a live
-// VM (alongside a recorder) and checks that the live sharded run and an
-// offline sequential replay of the recording agree byte for byte.
+// VM (alongside a recorder) and checks that the live run and an offline
+// replay of the recording agree byte for byte.
 func TestEngineLiveMultiToolMatchesOffline(t *testing.T) {
 	workload := func(main *vm.Thread) {
 		v := main.VM()
@@ -139,9 +115,9 @@ func TestEngineLiveMultiToolMatchesOffline(t *testing.T) {
 	rec := tracelog.NewRecorder(&buf)
 	vLive := vm.New(vm.Options{Seed: 3})
 	vLive.AddTool(rec)
-	eng, err := engine.New(engine.Options{Shards: 4, Tools: allToolSpecs(lockset.ConfigHWLCDR()), Resolver: vLive})
+	eng, err := engine.NewSequential(engine.Options{Tools: allToolSpecs(lockset.ConfigHWLCDR()), Resolver: vLive})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
 	vLive.AddTool(eng)
 	if err := vLive.Run(workload); err != nil {
@@ -171,7 +147,7 @@ func TestEngineLiveMultiToolMatchesOffline(t *testing.T) {
 	}
 	got, want := live.Format(), offline.Format()
 	if got != want {
-		t.Errorf("live sharded output differs from offline sequential replay\n--- offline ---\n%s\n--- live ---\n%s", want, got)
+		t.Errorf("live output differs from offline replay\n--- offline ---\n%s\n--- live ---\n%s", want, got)
 	}
 	for _, tool := range []string{"helgrind", "helgrind-deadlock", "memcheck", "highlevel"} {
 		if !strings.Contains(want, "=="+tool+"==") {
@@ -193,11 +169,10 @@ func (c *countingSink) Access(a *trace.Access) {
 	c.col.Add(report.Warning{Tool: "healthy", Kind: report.KindRace, Block: a.Block, Stack: a.Stack})
 }
 
-// TestEngineSiblingPanicIsolation: a tool panicking on its shard must not
-// take down sibling tools running in the SAME shard — each instance sits
-// behind its own SafeSink. The healthy tool must report every block,
-// including those in the panicking tool's shard, and Close must surface the
-// panic.
+// TestEngineSiblingPanicIsolation: a panicking tool must not take down its
+// sibling tools — each sits behind its own SafeSink. The healthy tool must
+// report every block, including those after the panic, and Close must
+// surface the panic.
 func TestEngineSiblingPanicIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	rec := tracelog.NewRecorder(&buf)
@@ -211,8 +186,7 @@ func TestEngineSiblingPanicIsolation(t *testing.T) {
 	rec.Flush()
 
 	const poison = trace.BlockID(3)
-	eng, err := engine.New(engine.Options{
-		Shards: 4,
+	eng, err := engine.NewSequential(engine.Options{
 		Tools: []trace.ToolSpec{
 			{Name: "panicky", Routing: trace.RouteBlock, Factory: func(col trace.Reporter) trace.Sink {
 				return &panicSink{col: col, poison: poison}
@@ -223,7 +197,7 @@ func TestEngineSiblingPanicIsolation(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
 	if _, err := eng.ReplayLog(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReplayLog should survive a panicking tool, got: %v", err)
@@ -242,14 +216,14 @@ func TestEngineSiblingPanicIsolation(t *testing.T) {
 		}
 	}
 	if healthy != nBlocks {
-		t.Errorf("healthy sibling reported %d blocks, want all %d (shard siblings must be isolated)", healthy, nBlocks)
+		t.Errorf("healthy sibling reported %d blocks, want all %d (siblings must be isolated)", healthy, nBlocks)
 	}
 }
 
 // TestEngineDuplicateToolNamesRejected: the registry requires distinct
 // report names, since they key warning deduplication across collectors.
 func TestEngineDuplicateToolNamesRejected(t *testing.T) {
-	_, err := engine.New(engine.Options{
+	_, err := engine.NewSequential(engine.Options{
 		Tools: []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC()), lockset.Spec(lockset.ConfigOriginal())},
 	})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
@@ -258,7 +232,7 @@ func TestEngineDuplicateToolNamesRejected(t *testing.T) {
 	// Distinct report names make two configurations of one detector legal.
 	a, b := lockset.ConfigHWLC(), lockset.ConfigOriginal()
 	a.Tool, b.Tool = "hwlc", "original"
-	eng, err := engine.New(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(a), lockset.Spec(b)}})
+	eng, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(a), lockset.Spec(b)}})
 	if err != nil {
 		t.Fatalf("renamed configs should be accepted: %v", err)
 	}

@@ -32,13 +32,32 @@ type seqBatch struct {
 
 var seqBatchPool = sync.Pool{New: func() any { return new(seqBatch) }}
 
-// Sequential is the single-goroutine counterpart of Engine: the same tool
-// registry, the same per-tool collectors with global sequence stamping, the
-// same end-of-stream Finisher pass and the same deterministic merge — but
-// every event is delivered to every tool on the caller's goroutine, with no
-// routing at all. It defines the reference output the sharded engine must
-// reproduce byte for byte, and it is what core.Run uses when parallelism is
-// off: one pass over the stream feeds all registered tools.
+// toolInst is one registered tool: its sink behind a panic isolator and a
+// private collector stamping new sites with Sequential.cur. Sequential
+// delivers a batch to the unwrapped tool under one recover of its own and
+// reports a panic to the SafeSink (Absorb), which keeps the disabled flag and
+// the error.
+type toolInst struct {
+	name string
+	col  *report.Collector
+	sink *trace.SafeSink
+	ns   int64 // time inside handlers, accumulated when Options.ToolTime is on
+}
+
+func newToolInst(spec trace.ToolSpec, opt Options, cur *uint64) *toolInst {
+	col := report.NewCollector(opt.Resolver, opt.Suppressor)
+	col.SetSequencer(func() uint64 { return *cur })
+	ss := trace.NewSafeSink(spec.Factory(col))
+	if opt.Metrics != nil {
+		ss.OnPanic = opt.Metrics.ToolPanics.Inc
+	}
+	return &toolInst{name: spec.Name, col: col, sink: ss}
+}
+
+// Sequential is the analysis pipeline: one tool registry, per-tool
+// collectors with global sequence stamping, an end-of-stream Finisher pass
+// and a deterministic merge, with every event delivered to every tool on the
+// caller's goroutine. One pass over the stream feeds all registered tools.
 //
 // Delivery is batch-major. Events gather in one fixed-size batch buffer —
 // ReplayLog decodes straight into it, the trace.Sink methods copy their
@@ -53,8 +72,10 @@ var seqBatchPool = sync.Pool{New: func() any { return new(seqBatch) }}
 // a tool is guaranteed to have seen everything sent so far.
 //
 // Sequential implements trace.Sink, so it attaches to a live VM with
-// AddTool; recorded logs go through ReplayLog. Routing classes are ignored —
-// sequentially, every tool simply sees the full ordered stream.
+// AddTool; recorded logs go through ReplayLog. Every tool sees the full
+// ordered stream. Sequential is not safe for concurrent use: all events,
+// Snapshot and Close come from one goroutine, as both the VM and the log
+// decoder guarantee.
 type Sequential struct {
 	opt       Options
 	insts     []*toolInst
@@ -70,11 +91,9 @@ type Sequential struct {
 	met *Metrics // nil-gated instrumentation
 }
 
-// NewSequential creates the single-pass multi-tool pipeline. Shards,
-// BatchSize and QueueDepth are ignored; the tool registry rules are the same
-// as New's.
+// NewSequential creates the single-pass multi-tool pipeline. Tool names must
+// be unique and every spec needs a Factory.
 func NewSequential(opt Options) (*Sequential, error) {
-	opt = opt.withDefaults()
 	if err := validateTools(opt.Tools); err != nil {
 		return nil, err
 	}
@@ -88,9 +107,6 @@ func NewSequential(opt Options) (*Sequential, error) {
 // Events returns the number of events taken in so far, delivered or still
 // gathered in the batch.
 func (s *Sequential) Events() int64 { return int64(s.seq) + int64(s.n) }
-
-// QueueLoad is always 0: inline delivery has no dispatch queue to back up.
-func (s *Sequential) QueueLoad() float64 { return 0 }
 
 // batch returns the batch buffer, taking one from the pool on first use.
 func (s *Sequential) batch() *seqBatch {
@@ -112,6 +128,7 @@ func (s *Sequential) flush() {
 	s.seq += uint64(s.n)
 	if s.met != nil {
 		s.met.EventsDecoded.Add(int64(s.n))
+		s.met.BatchesFlushed.Inc()
 	}
 	s.n = 0
 	s.b.edges = s.b.edges[:0]
@@ -152,9 +169,9 @@ func (s *Sequential) deliver(ti *toolInst, evs []tracelog.Event) {
 // Snapshot taken from inside r's Read — the ingest server's snapshot trigger
 // — finds every event decoded so far already delivered.
 //
-// A decode error (corrupt or truncated log) marks the whole run failed, with
-// the same contract as Engine.ReplayLog: Close will return the error instead
-// of a partial merged report.
+// A decode error (corrupt or truncated log) marks the whole run failed: the
+// events delivered so far analysed only a prefix of the stream, so Close will
+// return the error instead of a partial merged report.
 func (s *Sequential) ReplayLog(r io.Reader) (int64, error) {
 	if s.closed {
 		return tracelog.Replay(r) // counts the events; nothing is delivered after Close
@@ -181,10 +198,14 @@ func (s *Sequential) ReplayLog(r io.Reader) (int64, error) {
 
 // Close delivers what the batch still holds, runs the end-of-stream passes
 // of tools implementing trace.Finisher and merges the per-tool collectors
-// deterministically, mirroring Engine.Close — including the error contracts:
-// a tool panic still yields the merged collector, while a mid-stream failure
-// yields a nil collector and a stable error, never a partial merged report.
-// Close is idempotent; delivering events after Close is a no-op.
+// into one deterministic result (see report.Merge): the merged order is the
+// global first-seen order across every tool. A tool panic still yields the
+// merged collector, holding everything collected up to the failure, and
+// Close reports the first panic as its error. A mid-stream failure (a
+// ReplayLog decode error) yields a nil collector and a stable error, never a
+// partial merged report. Close is idempotent — a second call returns exactly
+// the first call's collector and error — and delivering events after Close
+// is a no-op.
 func (s *Sequential) Close() (*report.Collector, error) {
 	if s.closed {
 		return s.merged, s.err
@@ -215,29 +236,67 @@ func (s *Sequential) Close() (*report.Collector, error) {
 	return s.merged, s.err
 }
 
-// Summaries returns the per-tool counter rollups of every instance
-// implementing trace.Summarizer (see Engine.Summaries — the two surfaces are
-// computed identically, so sequential and sharded runs report the same
-// totals). Only valid after Close.
+// Snapshot returns the deterministic merged report of everything analysed so
+// far, without ending the stream: it delivers the partly filled batch, after
+// which the collectors cover exactly Events() events and are at rest, and
+// merges deep copies of them exactly as Close merges the originals. The final
+// report of a run with any number of snapshots is byte-identical to a
+// snapshot-free run, and every snapshot manifest is a prefix of the final
+// manifest (report.PrefixConsistent). Warnings from trace.Finisher passes are
+// absent from snapshots by design: Finish runs only in Close.
+//
+// After Close, Snapshot returns an error. After a mid-stream failure it
+// returns the stream error and no collector — a snapshot of a failed prefix
+// would be as misleading as a partial final report.
+func (s *Sequential) Snapshot() (*report.Collector, error) {
+	if s.closed {
+		return nil, fmt.Errorf("engine: Snapshot after Close")
+	}
+	if s.streamErr != nil {
+		return nil, fmt.Errorf("engine: stream failed after %d events: %w", s.seq, s.streamErr)
+	}
+	s.flush()
+	var cloneStart time.Time
+	if s.met != nil {
+		cloneStart = time.Now()
+	}
+	cols := make([]*report.Collector, len(s.insts))
+	for i, ti := range s.insts {
+		cols[i] = ti.col.Clone()
+	}
+	if s.met != nil {
+		s.met.SnapshotQuiesceNs.Observe(int64(time.Since(cloneStart)))
+	}
+	return report.Merge(s.opt.Resolver, s.opt.Suppressor, cols...), nil
+}
+
+// Summaries returns the per-tool counter rollups of every tool implementing
+// trace.Summarizer, keyed by tool name — the surface for dynamic counters
+// like memcheck's error and leak totals. Only valid after Close; nil after a
+// mid-stream failure, whose counters cover only a prefix.
 func (s *Sequential) Summaries() map[string]trace.ToolSummary {
 	if !s.closed || s.streamErr != nil {
 		return nil
 	}
-	return summarize(s.insts)
-}
-
-// Tool returns the live instance of the named registered tool (always
-// exactly one sequentially), unwrapped from its SafeSink; nil for an
-// unknown name. Only valid after Close: until then the instance has not
-// seen the events still gathered in the batch.
-func (s *Sequential) Tool(name string) []trace.Sink {
-	var out []trace.Sink
+	out := make(map[string]trace.ToolSummary)
 	for _, ti := range s.insts {
-		if ti.name == name {
-			out = append(out, ti.sink.Unwrap())
+		if sum, ok := ti.sink.Unwrap().(trace.Summarizer); ok {
+			out[ti.name] = sum.SummaryCounts()
 		}
 	}
 	return out
+}
+
+// Tool returns the live instance of the named registered tool, unwrapped
+// from its SafeSink; nil for an unknown name. Only valid after Close: until
+// then the instance has not seen the events still gathered in the batch.
+func (s *Sequential) Tool(name string) trace.Sink {
+	for _, ti := range s.insts {
+		if ti.name == name {
+			return ti.sink.Unwrap()
+		}
+	}
+	return nil
 }
 
 // ToolTimes returns the cumulative wall time spent inside each tool's event
@@ -247,7 +306,11 @@ func (s *Sequential) ToolTimes() map[string]int64 {
 	if !s.opt.ToolTime || !s.closed {
 		return nil
 	}
-	return toolTimes(s.insts)
+	out := make(map[string]int64, len(s.insts))
+	for _, ti := range s.insts {
+		out[ti.name] = ti.ns
+	}
+	return out
 }
 
 // slot returns the batch slot for an event arriving through a Sink method,

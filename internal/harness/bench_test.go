@@ -15,14 +15,14 @@ func sampleBenchDoc() harness.BenchDoc {
 	return harness.BenchDoc{
 		Schema: harness.BenchSchemaVersion, Date: "2026-08-07",
 		Threads: 4, Iters: 2000, Slots: 64, Blocks: 64, Seed: 1,
-		GoMaxProc: 1, NumCPU: 1, Shards: 4,
+		GoMaxProc: 1, NumCPU: 1, Shards: 1,
 		Overhead: []harness.OverheadRow{{Mode: "native", NsTotal: 100, Ops: 10, NsPerOp: 10}},
 		Replay: []harness.ReplayResult{{
 			Config: "original", Mode: "sequential", Shards: 1, Events: 1000,
 			NsTotal: 50000, NsPerEvt: 50, AllocsPerEvt: 0.4, BytesPerEvt: 12,
 		}},
 		OnePass: []harness.OnePassResult{{
-			Mode: "parallel-4", Shards: 4, Tools: []string{"helgrind"}, Events: 1000,
+			Mode: "sequential", Shards: 1, Tools: []string{"helgrind"}, Events: 1000,
 			NsTotal: 60000, NsPerEvt: 60, Locations: map[string]int{"helgrind": 2},
 		}},
 		Ingest: []harness.IngestResult{{

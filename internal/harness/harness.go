@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/cppmodel"
-	"repro/internal/engine"
 	"repro/internal/libc"
 	"repro/internal/lockset"
 	"repro/internal/report"
@@ -103,11 +102,6 @@ type RunOptions struct {
 	// Suppressions applies a suppression file (the §2.3.1 manual
 	// workflow); empty means none.
 	Suppressions string
-	// Parallel > 1 routes the detector through the sharded analysis engine
-	// (internal/engine) with that many workers, consuming the VM's event
-	// stream live. The merged report is deterministic and identical to the
-	// sequential one.
-	Parallel int
 }
 
 // DefaultRunOptions mirrors the paper's experimental environment.
@@ -155,9 +149,7 @@ const HelgrindSuppressions = `
 }
 `
 
-// RunCase executes one test case under one detector configuration. With
-// opt.Parallel > 1 the detector runs sharded across that many engine
-// workers instead of inline on the VM goroutine.
+// RunCase executes one test case under one detector configuration.
 func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, error) {
 	v := vm.New(vm.Options{Seed: opt.Seed, Quantum: opt.Quantum})
 	var sup report.Suppressor
@@ -168,24 +160,8 @@ func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, err
 		}
 		sup = f
 	}
-	var col *report.Collector
-	var eng *engine.Engine
-	if opt.Parallel > 1 {
-		var err error
-		eng, err = engine.New(engine.Options{
-			Shards:     opt.Parallel,
-			Tools:      []trace.ToolSpec{lockset.Spec(det.Cfg)},
-			Resolver:   v,
-			Suppressor: sup,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: engine: %w", err)
-		}
-		v.AddTool(eng)
-	} else {
-		col = report.NewCollector(v, sup)
-		v.AddTool(lockset.New(det.Cfg, col))
-	}
+	col := report.NewCollector(v, sup)
+	v.AddTool(lockset.New(det.Cfg, col))
 
 	rt := cppmodel.NewRuntime(cppmodel.Options{
 		AnnotateDeletes: det.AnnotateDeletes,
@@ -201,13 +177,6 @@ func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, err
 		srv.Stop(main)
 		main.Join(sink)
 	})
-	if eng != nil {
-		merged, engErr := eng.Close()
-		if engErr != nil && err == nil {
-			err = engErr
-		}
-		col = merged
-	}
 	if err != nil {
 		return nil, fmt.Errorf("harness: case %s under %s: %w", tc.ID, det.Name, err)
 	}

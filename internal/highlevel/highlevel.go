@@ -113,13 +113,9 @@ type Detector struct {
 	scratchBuf []byte
 }
 
-// Spec registers the detector with the analysis engine's tool registry. View
-// consistency is inherently cross-block: one critical section's view spans
-// every location the thread touches while holding the lock, regardless of
-// which heap block it lives in, so no block partition preserves the
-// analysis. The tool therefore runs as a single instance that the engine
-// feeds the complete stream (broadcast events plus every block event),
-// pinned to one shard. Its warnings are emitted by the end-of-stream Finish
+// Spec registers the detector with the analysis engine's tool registry. The
+// view-consistency checker is single-routed: the auxiliary tool the overload
+// ladder sheds first. Its warnings are emitted by the end-of-stream Finish
 // pass, which the engine sequences after every stream event.
 func Spec(cfg Config) trace.ToolSpec {
 	cfg = cfg.withDefaults()

@@ -93,10 +93,9 @@ type threadState struct {
 	wrBus  lockset.SetID
 }
 
-// Spec registers the detector with the analysis engine's tool registry. The
-// hybrid is block-routed for the same reason as its two parents: lock-sets
-// and vector clocks are derived from broadcast events, shadow cells are per
-// block, and warnings arise only from memory accesses.
+// Spec registers the detector with the analysis engine's tool registry. Like
+// its two parents the hybrid is block-routed: a core race detector the
+// overload ladder never sheds.
 func Spec(cfg Config) trace.ToolSpec {
 	cfg = cfg.withDefaults()
 	return trace.ToolSpec{

@@ -40,7 +40,7 @@ func TestPressureLevel(t *testing.T) {
 	}
 }
 
-// TestShedSpecs pins the ladder order: single-shard tools go at low
+// TestShedSpecs pins the ladder order: single-routed tools go at low
 // pressure, broadcast tools at high, block-routed tools never — and a
 // registry that would shed to nothing is kept whole.
 func TestShedSpecs(t *testing.T) {
@@ -76,22 +76,51 @@ func TestShedSpecs(t *testing.T) {
 	}
 }
 
-// TestKeepPctFor pins the sampling schedule over pressure and queue load.
+// TestKeepPctFor pins the sampling schedule over pressure.
 func TestKeepPctFor(t *testing.T) {
-	for _, tc := range []struct {
-		level     int
-		queueLoad float64
-		want      int
-	}{
-		{pressureNone, 0, 100},
-		{pressureLow, 0, 100},
-		{pressureHigh, 0, 75},
-		{pressureFull, 0, 50},
-		{pressureNone, 0.9, 75}, // backed-up pipeline tightens the keep rate
-		{pressureFull, 0.9, 25},
+	for level, want := range map[int]int{
+		pressureNone: 100,
+		pressureLow:  100,
+		pressureHigh: 75,
+		pressureFull: 50,
 	} {
-		if got := keepPctFor(tc.level, tc.queueLoad); got != tc.want {
-			t.Errorf("keepPctFor(%d, %.1f) = %d, want %d", tc.level, tc.queueLoad, got, tc.want)
+		if got := keepPctFor(level); got != want {
+			t.Errorf("keepPctFor(%d) = %d, want %d", level, got, want)
+		}
+	}
+}
+
+// refShard is the block partition function the sampler's decisions were
+// first defined by: MurmurHash3 fmix32 over the block ID, modulo n.
+func refShard(b trace.BlockID, n int) int {
+	x := uint32(b)
+	x ^= x >> 16
+	x *= 0x85ebca6b
+	x ^= x >> 13
+	x *= 0xc2b2ae35
+	x ^= x >> 16
+	return int(x % uint32(n))
+}
+
+// TestBlockHashKeepsShardDecisions pins the sampler's per-block decisions:
+// for every block ID in 0..4095 and every keep rate the schedule has used,
+// keepBlock agrees with the reference partition, and the kept share stays
+// close to the rate even over sequential IDs.
+func TestBlockHashKeepsShardDecisions(t *testing.T) {
+	const ids = 4096
+	for _, pct := range []int{25, 50, 75} {
+		kept := 0
+		for b := trace.BlockID(0); b < ids; b++ {
+			got := keepBlock(b, pct)
+			if want := refShard(b, 100) < pct; got != want {
+				t.Fatalf("keep %d%%: block %d kept=%v, want %v", pct, b, got, want)
+			}
+			if got {
+				kept++
+			}
+		}
+		if lo, hi := ids*pct/100*9/10, ids*pct/100*11/10; kept < lo || kept > hi {
+			t.Errorf("keep %d%%: %d of %d blocks kept, want within [%d, %d]", pct, kept, ids, lo, hi)
 		}
 	}
 }
@@ -101,24 +130,24 @@ func TestTokenBucket(t *testing.T) {
 	b := newTokenBucket(2, 2) // 2 tokens/s, burst 2
 	now := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
-		if ok, _ := b.take(now, 1); !ok {
+		if ok, _ := b.take(now); !ok {
 			t.Fatalf("take %d within burst refused", i+1)
 		}
 	}
-	ok, retry := b.take(now, 1)
+	ok, retry := b.take(now)
 	if ok {
 		t.Fatal("take beyond burst admitted")
 	}
 	if retry != 500*time.Millisecond {
 		t.Errorf("retry hint = %v, want 500ms (one token at 2/s)", retry)
 	}
-	if ok, _ := b.take(now.Add(500*time.Millisecond), 1); !ok {
+	if ok, _ := b.take(now.Add(500 * time.Millisecond)); !ok {
 		t.Error("take after the hinted refill refused")
 	}
 	// The hint never degenerates below a millisecond.
 	tight := newTokenBucket(1e6, 1)
-	tight.take(now, 1)
-	if _, retry := tight.take(now, 1); retry < time.Millisecond {
+	tight.take(now)
+	if _, retry := tight.take(now); retry < time.Millisecond {
 		t.Errorf("retry hint = %v, want >= 1ms", retry)
 	}
 }

@@ -24,7 +24,7 @@ func TestIncrementalReports(t *testing.T) {
 	srv, addr := startServer(t, ingest.Config{ReportInterval: time.Millisecond})
 	log := recordScenario(t, 1, true)
 	want := offlineReport(t, log)
-	finalCol, err := scenario.RunOffline(nil, log, 1)
+	finalCol, err := scenario.RunOffline(nil, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestIdleTimeout(t *testing.T) {
 // the same tables and (b) actually contains resolved stack frames — closing
 // the "server-side reports render without stack resolution" gap.
 func TestMetadataResolvedSession(t *testing.T) {
-	_, addr := startServer(t, ingest.Config{Shards: 2})
+	_, addr := startServer(t, ingest.Config{})
 	s := scenario.Generate(scenario.GenConfig{Seed: 1})
 	v, log, err := scenario.Record(s, true, 1)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestMetadataResolvedSession(t *testing.T) {
 	if md.Empty() {
 		t.Fatal("captured metadata is empty; scenario guests should intern stacks")
 	}
-	col, err := scenario.RunOffline(scenario.Resolver(md), log, 1)
+	col, err := scenario.RunOffline(scenario.Resolver(md), log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,11 @@
 // Design notes:
 //
 //   - One connection is one session is one engine pipeline
-//     (engine.NewPipeline): sequential per session by default, or sharded
-//     across Config.Shards workers. Reports are therefore byte-identical to
-//     an offline replay of the same trace through the same registry — the
+//     (engine.Sequential). Reports are therefore byte-identical to an
+//     offline replay of the same trace through the same registry — the
 //     conformance suite pins this.
-//   - Memory is bounded per session by the engine's batch/backpressure
-//     machinery (bounded channels between decode and shards) and across
+//   - Memory is bounded per session by the engine's fixed-size batch (the
+//     stream is read only as fast as the tools consume it) and across
 //     sessions by Config.MaxSessions: beyond the cap, accepted connections
 //     wait before their stream is read, which stalls the client through
 //     transport flow control instead of queueing unbounded input.
@@ -80,10 +79,6 @@ type Config struct {
 	// instances (the engine calls each spec's Factory anew), so sessions
 	// share no mutable analysis state. Required.
 	Tools func() []trace.ToolSpec
-	// Shards is the per-session engine worker count; <= 1 runs each session
-	// on the inline sequential pipeline. Either way the session report is
-	// byte-identical (engine determinism).
-	Shards int
 	// MaxSessions bounds concurrently-analysed sessions (default 64).
 	// Further connections are accepted but wait their turn before any of
 	// their stream is read.
@@ -114,11 +109,12 @@ type Config struct {
 	// with sampling off — the overload conformance test pins this.
 	AdaptiveSampling bool
 	// DegradationLadder sheds auxiliary tools from sessions admitted under
-	// pressure — single-shard tools (highlevel) first, broadcast tools (the
-	// lock-order detector) above that; block-routed tools (lockset, djit,
-	// hybrid, memcheck) are never shed. Shed tool names are recorded on the
-	// session and stamped into its report header. Off, every session runs
-	// the full registry regardless of pressure.
+	// pressure, in the order of their trace.Routing class — single-routed
+	// tools (highlevel) first, broadcast tools (the lock-order detector)
+	// above that; block-routed tools (lockset, djit, hybrid, memcheck) are
+	// never shed. Shed tool names are recorded on the session and stamped
+	// into its report header. Off, every session runs the full registry
+	// regardless of pressure.
 	DegradationLadder bool
 	// FoldSiteCap > 0 bounds the distinct warning sites the retention fold
 	// retains: after each fold the merged collector keeps only the first cap
@@ -127,10 +123,6 @@ type Config struct {
 	// what keeps a month-long daemon's aggregate memory bounded. 0 keeps
 	// every folded site forever.
 	FoldSiteCap int
-	// BatchSize and QueueDepth tune the per-session engine (see
-	// engine.Options); zero values take the engine defaults.
-	BatchSize  int
-	QueueDepth int
 	// ReportInterval > 0 enables periodic incremental reports: roughly every
 	// interval (checked as the session's stream is read, so an idle stream —
 	// whose report cannot have changed — takes no snapshot), the session
@@ -505,13 +497,6 @@ type Server struct {
 	bucket      *tokenBucket  // admission pacing; nil when AdmitRate is 0
 	shutdown    chan struct{} // closed at Shutdown entry; unparks slot waiters
 	wg          sync.WaitGroup
-
-	// loads holds the queue-load probes of live session pipelines, keyed by
-	// session ID: the backlog signal admission feeds back into the token
-	// bucket (see admit), under its own lock so the probe never contends with
-	// the registry.
-	loadMu sync.Mutex
-	loads  map[uint64]func() float64
 }
 
 // DrainSummary is the outcome of a Shutdown flush: how many sessions were
@@ -576,7 +561,6 @@ func NewServer(cfg Config) (*Server, error) {
 		conns:    make(map[net.Conn]struct{}),
 		sem:      make(chan struct{}, cfg.MaxSessions),
 		shutdown: make(chan struct{}),
-		loads:    make(map[uint64]func() float64),
 	}
 	if cfg.AdmitRate > 0 {
 		burst := cfg.AdmitBurst
@@ -812,23 +796,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.met != nil {
 		em = s.met.engine
 	}
-	pipe, err := engine.NewPipeline(engine.Options{
-		Tools:      specs,
-		Shards:     s.cfg.Shards,
-		BatchSize:  s.cfg.BatchSize,
-		QueueDepth: s.cfg.QueueDepth,
-		Resolver:   fr.Tables(),
-		Metrics:    em,
+	pipe, err := engine.NewSequential(engine.Options{
+		Tools:    specs,
+		Resolver: fr.Tables(),
+		Metrics:  em,
 	})
 	if err != nil {
 		sess.fail(err)
 		fw.Error(fmt.Sprintf("pipeline: %v", err))
 		return
 	}
-	// Publish the pipeline's backlog probe for admission's queue-load
-	// feedback; withdrawn when the handler ends, whatever way.
-	s.trackLoad(sess.ID, pipe.QueueLoad)
-	defer s.untrackLoad(sess.ID)
 
 	// Incremental reporting: a ticker arms a flag, and the next stream read
 	// on the decode goroutine takes the snapshot — the pipeline's Snapshot
@@ -841,7 +818,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// counter needs no synchronisation.
 	var sam *sampler
 	if s.cfg.AdaptiveSampling {
-		sam = newSampler(level, s.pressureLevel, pipe.QueueLoad)
+		sam = newSampler(level, s.pressureLevel)
 	}
 	var stream io.Reader = fr
 	if s.cfg.ReportInterval > 0 {
@@ -915,7 +892,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	if err != nil {
-		pipe.Close() // join workers; no report by the mid-stream contract
+		pipe.Close() // release the batch; no report by the mid-stream contract
 		if s.met != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -1011,36 +988,6 @@ func (s *Server) census() BackendCensus {
 		sess.mu.Unlock()
 	}
 	return c
-}
-
-// trackLoad publishes one live pipeline's queue-load probe for admission's
-// feedback loop; untrackLoad withdraws it when the session's handler ends.
-func (s *Server) trackLoad(id uint64, probe func() float64) {
-	s.loadMu.Lock()
-	s.loads[id] = probe
-	s.loadMu.Unlock()
-}
-
-func (s *Server) untrackLoad(id uint64) {
-	s.loadMu.Lock()
-	delete(s.loads, id)
-	s.loadMu.Unlock()
-}
-
-// maxQueueLoad probes the most backed-up live session pipeline (0 when none
-// are live). This is the backlog signal admission reads: slot occupancy says
-// how many sessions run, queue load says whether the ones running are keeping
-// up.
-func (s *Server) maxQueueLoad() float64 {
-	s.loadMu.Lock()
-	defer s.loadMu.Unlock()
-	var max float64
-	for _, probe := range s.loads {
-		if l := probe(); l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // idleReader applies a rolling read deadline to a session connection: every

@@ -59,7 +59,7 @@ func recordScenario(t testing.TB, genSeed int64, buggy bool) []byte {
 // reference for every session report.
 func offlineReport(t testing.TB, log []byte) string {
 	t.Helper()
-	col, err := scenario.RunOffline(nil, log, 1)
+	col, err := scenario.RunOffline(nil, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,9 +147,7 @@ type gran struct {
 // mode, with/without the bus pseudo-lock). The sets are maintained
 // incrementally: acquire and release walk a single memoised transition edge
 // per variant in the SetTable instead of re-sorting and re-interning the held
-// set, so steady-state lock traffic — including the broadcast path of the
-// parallel engine, where every shard observes every lock event — costs a few
-// map hits and no allocation.
+// set, so steady-state lock traffic costs a few map hits and no allocation.
 type threadLocks struct {
 	init         bool
 	curSeg       trace.SegmentID
@@ -177,22 +175,11 @@ type Detector struct {
 	races   int // dynamic race reports, pre-dedup
 }
 
-// Factory returns a constructor building an independent detector per
-// collector — the shape the parallel engine wants for its per-shard
-// detectors. Each instance owns all of its state (set table, segment graph,
-// shadow memory), so instances never share mutable state.
-//
-// Deprecated: register the detector through Spec instead; Factory remains
-// for single-tool engine callers.
-func Factory(cfg Config) func(col *report.Collector) trace.Sink {
-	return func(col *report.Collector) trace.Sink { return New(cfg, col) }
-}
-
-// Spec registers the detector with the analysis engine's tool registry. The
-// detector is block-routed: its warning-producing shadow state is per heap
-// block and warnings arise only from block-carrying events, while the
-// thread/lock/segment state it also keeps is derived purely from broadcast
-// events and therefore evolves identically in every shard.
+// Spec registers the detector with the analysis engine's tool registry.
+// Each call of its Factory builds an independent detector owning all of its
+// state (set table, segment graph, shadow memory). The detector is
+// block-routed: it is one of the paper's core detectors, which the overload
+// ladder never sheds.
 func Spec(cfg Config) trace.ToolSpec {
 	cfg = cfg.withDefaults()
 	return trace.ToolSpec{

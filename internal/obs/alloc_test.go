@@ -5,7 +5,7 @@ import "testing"
 // TestZeroAllocHotPaths turns the package doc's "hot-path writes allocate
 // nothing" claim from prose into a pinned budget: every write reachable from
 // the per-event instrumentation — counters, pre-resolved vector handles,
-// gauges (including the SetMax high-watermark CAS loop) and histogram
+// gauges and histogram
 // observes — must be allocation-free. CounterVec.With is deliberately
 // absent: it locks and may allocate, which is why instrumented code resolves
 // handles once at setup.
@@ -29,7 +29,7 @@ func TestZeroAllocHotPaths(t *testing.T) {
 		{"CounterVec.handle.Inc", handle.Inc},
 		{"Gauge.Set", func() { g.Set(n) }},
 		{"Gauge.Add", func() { g.Add(-1) }},
-		{"Gauge.SetMax", func() { n++; ghandle.SetMax(n) }},
+		{"GaugeVec.handle.Add", func() { ghandle.Add(1) }},
 		{"Histogram.Observe.first-bucket", func() { h.Observe(500) }},
 		{"Histogram.Observe.inf-bucket", func() { h.Observe(1 << 40) }},
 	}

@@ -71,18 +71,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add adds n (which may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// SetMax raises the gauge to n if n is larger — the high-watermark write
-// used for queue-occupancy tracking. Lock-free; concurrent raisers converge
-// on the maximum.
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

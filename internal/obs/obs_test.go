@@ -24,14 +24,6 @@ func TestGauge(t *testing.T) {
 	if got := g.Value(); got != 7 {
 		t.Errorf("gauge = %d, want 7", got)
 	}
-	g.SetMax(5) // below current: no-op
-	if got := g.Value(); got != 7 {
-		t.Errorf("gauge after SetMax(5) = %d, want 7", got)
-	}
-	g.SetMax(100)
-	if got := g.Value(); got != 100 {
-		t.Errorf("gauge after SetMax(100) = %d, want 100", got)
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -118,7 +110,7 @@ func TestRegistryIdempotent(t *testing.T) {
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("events_total", "events")
-	g := r.Gauge("hwm", "watermark")
+	g := r.Gauge("inflight", "in flight")
 	h := r.Histogram("lat_ns", "latency", LatencyBuckets())
 	vec := r.CounterVec("by_tool", "per tool", "tool")
 
@@ -131,7 +123,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			tool := vec.With(fmt.Sprintf("tool-%d", w%3))
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.SetMax(int64(w*iters + i))
+				g.Add(1)
 				h.Observe(int64(i))
 				tool.Inc()
 				if i%500 == 0 {
@@ -148,8 +140,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if h.Count() != workers*iters {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*iters)
 	}
-	if g.Value() != workers*iters-1 {
-		t.Errorf("gauge max = %d, want %d", g.Value(), workers*iters-1)
+	if g.Value() != workers*iters {
+		t.Errorf("gauge = %d, want %d", g.Value(), workers*iters)
 	}
 	var vecTotal int64
 	for i := 0; i < 3; i++ {

@@ -12,9 +12,10 @@ func testWarning(tool string, kind Kind, stack trace.StackID) Warning {
 	return Warning{Tool: tool, Kind: kind, Stack: stack, Thread: 1, Addr: 0x1000}
 }
 
-// TestCloneIndependence pins the trace.Snapshotter contract: a clone is a
-// frozen checkpoint — warnings added to the original afterwards (new sites
-// and count bumps alike) are invisible to it, and vice versa.
+// TestCloneIndependence pins the Clone contract the engine's snapshots rely
+// on: a clone is a frozen checkpoint — warnings added to the original
+// afterwards (new sites and count bumps alike) are invisible to it, and vice
+// versa.
 func TestCloneIndependence(t *testing.T) {
 	var seq uint64
 	c := NewCollector(nil, nil)
@@ -24,7 +25,7 @@ func TestCloneIndependence(t *testing.T) {
 	seq = 2
 	c.Add(testWarning("memcheck", KindUseAfterFree, 20))
 
-	snap := trace.Snapshotter(c).SnapshotReport().(*Collector)
+	snap := c.Clone()
 	if snap.Locations() != 2 || snap.Occurrences() != 2 {
 		t.Fatalf("clone = %d locations / %d occurrences, want 2/2", snap.Locations(), snap.Occurrences())
 	}

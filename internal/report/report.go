@@ -67,7 +67,7 @@ func NewCollector(res trace.Resolver, sup Suppressor) *Collector {
 // SetSequencer installs a callback returning the current global event
 // sequence number. When set, every new site is stamped with the sequence of
 // its first occurrence (Warning.Seq), which is what lets Merge reconstruct
-// the sequential first-seen order from per-shard collectors.
+// the stream's first-seen order from per-tool collectors.
 func (c *Collector) SetSequencer(fn func() uint64) { c.seq = fn }
 
 // Add records a warning occurrence, implementing trace.Reporter. The first
@@ -124,12 +124,6 @@ func (c *Collector) Clone() *Collector {
 	}
 	return out
 }
-
-// SnapshotReport implements trace.Snapshotter: the capability the analysis
-// engine's snapshot lifecycle requires of every instance collector.
-func (c *Collector) SnapshotReport() trace.Reporter { return c.Clone() }
-
-var _ trace.Snapshotter = (*Collector)(nil)
 
 // CompactTail bounds the collector to its first max sites in order,
 // discarding the tail. It returns how many sites were discarded and how many

@@ -63,27 +63,21 @@ func Record(s *Scenario, buggy bool, schedSeed int64) (*vm.VM, []byte, error) {
 }
 
 // RunLive executes the scenario variant live under the full registry through
-// core.Run: sequentially for shards <= 1, otherwise across that many engine
-// workers consuming the VM stream.
-func RunLive(s *Scenario, buggy bool, schedSeed int64, shards int) (*core.Result, error) {
-	res, err := core.Run(core.Options{
-		Tools:    AllTools(),
-		Seed:     schedSeed,
-		Parallel: shards,
-	}, s.Body(buggy))
+// core.Run, the pipeline consuming the VM stream.
+func RunLive(s *Scenario, buggy bool, schedSeed int64) (*core.Result, error) {
+	res, err := core.Run(core.Options{Tools: AllTools(), Seed: schedSeed}, s.Body(buggy))
 	if err != nil {
 		return nil, err
 	}
 	if res.Err != nil {
-		return nil, fmt.Errorf("scenario %s (sched %d, %d shards): guest: %w", s.Name(), schedSeed, shards, res.Err)
+		return nil, fmt.Errorf("scenario %s (sched %d): guest: %w", s.Name(), schedSeed, res.Err)
 	}
 	return res, nil
 }
 
-// RunOffline replays a recorded log through the full registry, sequentially
-// for shards <= 1, otherwise through the sharded engine.
-func RunOffline(res trace.Resolver, log []byte, shards int) (*report.Collector, error) {
-	pipe, err := engine.NewPipeline(engine.Options{Tools: AllTools(), Resolver: res, Shards: shards})
+// RunOffline replays a recorded log through the full registry.
+func RunOffline(res trace.Resolver, log []byte) (*report.Collector, error) {
+	pipe, err := engine.NewSequential(engine.Options{Tools: AllTools(), Resolver: res})
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +91,8 @@ func RunOffline(res trace.Resolver, log []byte, shards int) (*report.Collector, 
 // MatrixResult is the outcome of one scenario variant run through every
 // pipeline shape at one scheduler seed.
 type MatrixResult struct {
-	// Formats maps shape name ("live-seq", "offline-shard4", ...) to the
-	// fully rendered report. All values must be byte-identical.
+	// Formats maps shape name ("live", "offline") to the fully rendered
+	// report. All values must be byte-identical.
 	Formats map[string]string
 	// Order lists the shape names in run order (Formats is a map).
 	Order []string
@@ -124,45 +118,27 @@ func (m *MatrixResult) Mismatch() string {
 	return ""
 }
 
-// RunMatrix runs one scenario variant through {sequential, shards...} ×
-// {live, offline} under the full registry at one scheduler seed.
-func RunMatrix(s *Scenario, buggy bool, schedSeed int64, shardCounts []int) (*MatrixResult, error) {
-	m := &MatrixResult{Formats: make(map[string]string)}
-	add := func(name, format string) {
-		m.Formats[name] = format
-		m.Order = append(m.Order, name)
+// RunMatrix runs one scenario variant through {live, offline} under the
+// full registry at one scheduler seed.
+func RunMatrix(s *Scenario, buggy bool, schedSeed int64) (*MatrixResult, error) {
+	res, err := RunLive(s, buggy, schedSeed)
+	if err != nil {
+		return nil, err
 	}
-	shapeName := func(prefix string, shards int) string {
-		if shards <= 1 {
-			return prefix + "-seq"
-		}
-		return fmt.Sprintf("%s-shard%d", prefix, shards)
-	}
-
-	for _, shards := range shardCounts {
-		res, err := RunLive(s, buggy, schedSeed, shards)
-		if err != nil {
-			return nil, err
-		}
-		add(shapeName("live", shards), res.Report())
-		if m.Canonical == nil {
-			m.Canonical = res.Collector
-			m.Resolver = res.VM
-		}
-	}
-
 	recVM, log, err := Record(s, buggy, schedSeed)
 	if err != nil {
 		return nil, err
 	}
-	for _, shards := range shardCounts {
-		col, err := RunOffline(recVM, log, shards)
-		if err != nil {
-			return nil, err
-		}
-		add(shapeName("offline", shards), col.Format())
+	col, err := RunOffline(recVM, log)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &MatrixResult{
+		Formats:   map[string]string{"live": res.Report(), "offline": col.Format()},
+		Order:     []string{"live", "offline"},
+		Canonical: res.Collector,
+		Resolver:  res.VM,
+	}, nil
 }
 
 // CountEvents decodes a log just to count its events.

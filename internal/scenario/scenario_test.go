@@ -85,7 +85,7 @@ func TestFamilyRoundTrip(t *testing.T) {
 func TestControlRunsClean(t *testing.T) {
 	for _, k := range Kinds() {
 		s := Generate(GenConfig{Seed: 99, Kinds: []BugKind{k}})
-		res, err := RunLive(s, false, 1, 1)
+		res, err := RunLive(s, false, 1)
 		if err != nil {
 			t.Fatalf("%s control: %v", k.Family(), err)
 		}
@@ -100,7 +100,7 @@ func TestControlRunsClean(t *testing.T) {
 func TestBuggySingleKind(t *testing.T) {
 	for _, k := range Kinds() {
 		s := Generate(GenConfig{Seed: 99, Kinds: []BugKind{k}})
-		res, err := RunLive(s, true, 1, 1)
+		res, err := RunLive(s, true, 1)
 		if err != nil {
 			t.Fatalf("%s buggy: %v", k.Family(), err)
 		}
@@ -120,14 +120,14 @@ func TestScheduleRobustness(t *testing.T) {
 	for _, k := range Kinds() {
 		s := Generate(GenConfig{Seed: 7, Kinds: []BugKind{k}})
 		for sched := int64(1); sched <= seeds; sched++ {
-			res, err := RunLive(s, true, sched, 1)
+			res, err := RunLive(s, true, sched)
 			if err != nil {
 				t.Fatalf("%s sched %d buggy: %v", k.Family(), sched, err)
 			}
 			if fails := CheckBuggy(res.Collector, res.VM, s); len(fails) > 0 {
 				t.Errorf("%s sched %d buggy: %v", k.Family(), sched, fails)
 			}
-			ctl, err := RunLive(s, false, sched, 1)
+			ctl, err := RunLive(s, false, sched)
 			if err != nil {
 				t.Fatalf("%s sched %d control: %v", k.Family(), sched, err)
 			}

@@ -35,8 +35,7 @@ type Rule struct {
 }
 
 // File is a parsed suppression file. One File may be shared by concurrent
-// consumers (the parallel engine hands the same File to every shard
-// collector): matching reads only immutable rule data, and the hit counters
+// consumers: matching reads only immutable rule data, and the hit counters
 // are mutex-protected.
 type File struct {
 	Rules []Rule

@@ -23,18 +23,34 @@ func (b *bombSink) Access(*Access) {
 
 func (b *bombSink) Alloc(*Block) { b.events++ }
 
+// deliver hands one event to the sink the way the engine does: to the
+// unwrapped tool, under a recover that reports to Absorb, and not at all
+// once the sink is disabled.
+func deliver(s *SafeSink, callback string, call func(Sink)) {
+	if s.Disabled() {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.Absorb(callback, r)
+		}
+	}()
+	call(s.Unwrap())
+}
+
 func TestSafeSinkIsolatesPanic(t *testing.T) {
 	bomb := &bombSink{}
 	s := NewSafeSink(bomb)
-	s.Alloc(&Block{ID: 1})
-	s.Access(&Access{Block: 1})
-	if s.Err() != nil {
+	access := func(k Sink) { k.Access(&Access{Block: 1}) }
+	deliver(s, "Alloc", func(k Sink) { k.Alloc(&Block{ID: 1}) })
+	deliver(s, "Access", access)
+	if s.Err() != nil || s.Disabled() {
 		t.Fatalf("unexpected error before panic: %v", s.Err())
 	}
 	bomb.armed = true
-	s.Access(&Access{Block: 1}) // must not propagate the panic
+	deliver(s, "Access", access) // must not propagate the panic
 	err := s.Err()
-	if err == nil {
+	if err == nil || !s.Disabled() {
 		t.Fatal("panic not captured")
 	}
 	if !strings.Contains(err.Error(), "bomb") || !strings.Contains(err.Error(), "Access") {
@@ -44,8 +60,8 @@ func TestSafeSinkIsolatesPanic(t *testing.T) {
 	// the first error sticks.
 	bomb.armed = false
 	before := bomb.events
-	s.Access(&Access{Block: 1})
-	s.Alloc(&Block{ID: 2})
+	deliver(s, "Access", access)
+	deliver(s, "Alloc", func(k Sink) { k.Alloc(&Block{ID: 2}) })
 	if bomb.events != before {
 		t.Error("disabled sink still receives events")
 	}
@@ -56,48 +72,11 @@ func TestSafeSinkIsolatesPanic(t *testing.T) {
 
 func TestSafeSinkNilInner(t *testing.T) {
 	s := NewSafeSink(nil)
-	s.Access(&Access{}) // must not panic
-	s.ThreadExit(1)
+	if !s.Disabled() || s.Unwrap() != nil {
+		t.Error("a nil inner sink must be permanently disabled")
+	}
+	s.Finish() // must not panic
 	if s.Err() != nil {
 		t.Errorf("nil inner sink produced error: %v", s.Err())
-	}
-}
-
-func TestFanoutDeliversToAllEvenWhenOneIsGuarded(t *testing.T) {
-	healthy := &bombSink{}
-	bomb := &bombSink{armed: true}
-	// Panicking member wrapped, healthy member after it: the panic must not
-	// prevent delivery to the rest.
-	guarded := NewSafeSink(bomb)
-	f := Fanout(guarded, healthy)
-	f.Access(&Access{Block: 1})
-	f.Access(&Access{Block: 1})
-	if healthy.events != 2 {
-		t.Errorf("healthy sink saw %d events, want 2", healthy.events)
-	}
-	if guarded.Err() == nil {
-		t.Error("guarded sink should have captured the panic")
-	}
-}
-
-func TestShardKeyDistributesSequentialIDs(t *testing.T) {
-	const n = 8
-	const ids = 4096
-	var counts [n]int
-	for b := BlockID(1); b <= ids; b++ {
-		s := Shard(b, n)
-		if s < 0 || s >= n {
-			t.Fatalf("Shard(%d, %d) = %d out of range", b, n, s)
-		}
-		counts[s]++
-	}
-	// Sequential IDs must spread to every shard, reasonably evenly.
-	for s, c := range counts {
-		if c < ids/n/2 || c > ids/n*2 {
-			t.Errorf("shard %d holds %d of %d ids; distribution too skewed", s, c, ids)
-		}
-	}
-	if ShardKey(42) != ShardKey(42) {
-		t.Error("ShardKey must be deterministic")
 	}
 }

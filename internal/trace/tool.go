@@ -1,33 +1,25 @@
 package trace
 
-// Routing classifies how the sharded analysis engine (internal/engine) must
-// route events to a tool. The class is the tool's soundness contract with the
-// engine: it states which slice of the event stream the tool needs in order
-// to produce exactly the warnings a sequential single-pass run would produce.
+// Routing is a tool's shed priority: the order in which the ingest server's
+// degradation ladder removes tools from a session admitted under overload
+// pressure (ingest.Config.DegradationLadder). Every tool in a pipeline sees
+// the full ordered stream whatever its class; the class only decides which
+// tools an overloaded daemon gives up first.
 type Routing uint8
 
-// Routing classes.
+// Routing classes, from never shed to shed first.
 const (
-	// RouteBlock tools keep their mutable warning-producing state per heap
-	// block and warn only from block-carrying events (accesses, allocations,
-	// frees, client requests). The engine runs one independent instance per
-	// shard: block events are partitioned by block hash, while
-	// synchronisation, segment and thread events are broadcast so every
-	// instance evolves the same thread/lock/segment picture. The race
-	// detectors (lockset, DJIT, hybrid) and memcheck are block-routed.
+	// RouteBlock marks the paper's core detectors — lockset, DJIT, hybrid
+	// and memcheck, whose warnings arise from block-carrying events. The
+	// ladder never sheds them.
 	RouteBlock Routing = iota
-	// RouteBroadcast tools warn from broadcast events only and need none of
-	// the block-carrying stream (the lock-order deadlock detector: its input
-	// is the global acquire/contended/release order, which every shard sees
-	// anyway). The engine runs exactly one instance, pinned to one shard,
-	// fed only the broadcast substream.
+	// RouteBroadcast marks auxiliary tools that warn from synchronisation
+	// events only (the lock-order deadlock detector). The ladder sheds them
+	// at high pressure.
 	RouteBroadcast
-	// RouteSingle tools need the full, totally-ordered stream in one place —
-	// their state spans blocks in ways no partition preserves (the
-	// view-consistency checker correlates accesses to different blocks made
-	// under one critical section). The engine runs exactly one instance,
-	// pinned to one shard, and additionally forwards every block-carrying
-	// event to that shard for it.
+	// RouteSingle marks auxiliary tools whose state spans blocks (the
+	// view-consistency checker). The ladder sheds them first, at low
+	// pressure.
 	RouteSingle
 )
 
@@ -43,23 +35,22 @@ func (r Routing) String() string {
 }
 
 // ToolFactory builds one tool instance writing its warnings to col. The
-// engine calls it once per shard for block-routed tools and exactly once for
-// pinned (broadcast/single-shard) tools; every call must return a fresh
-// instance sharing no mutable state with its siblings.
+// engine calls it once per pipeline; every call must return a fresh instance
+// sharing no mutable state with earlier ones.
 type ToolFactory func(col Reporter) Sink
 
 // ToolSpec registers one analysis tool with the engine. Every detector
 // package exports a Spec constructor returning its canonical entry:
 // lockset.Spec, vectorclock.Spec, hybrid.Spec, deadlock.Spec, memcheck.Spec,
 // highlevel.Spec. Any number of specs — several race detector configurations
-// side by side, plus all auxiliary checkers — can run concurrently over a
-// single decode of the stream.
+// side by side, plus all auxiliary checkers — can run over a single decode of
+// the stream.
 type ToolSpec struct {
 	// Name identifies the tool within a run; the engine rejects duplicate
 	// names. It should equal the report name the tool stamps into warnings
 	// (Warning.Tool), since that name keys warning deduplication.
 	Name string
-	// Routing is the tool's routing class (see Routing).
+	// Routing is the tool's shed priority (see Routing).
 	Routing Routing
 	// Factory builds the tool's instances. Required.
 	Factory ToolFactory
@@ -75,10 +66,10 @@ type Finisher interface {
 }
 
 // ToolSummary is a tool's end-of-run counter rollup, keyed by counter name
-// (e.g. "errors", "leaked-blocks", "leaked-bytes"). Summaries exist so that
-// dynamic counters survive sharding: warning sites merge through the report
-// collectors, but plain counters would otherwise be stranded on whichever
-// shard instance observed them.
+// (e.g. "errors", "leaked-blocks", "leaked-bytes"). Warning sites reach a
+// report through the collectors; a summary carries the plain counters that
+// have no site, so they can be reported per session and summed across
+// sessions.
 type ToolSummary map[string]int64
 
 // Merge adds every counter of other into s.
@@ -88,29 +79,9 @@ func (s ToolSummary) Merge(other ToolSummary) {
 	}
 }
 
-// Snapshotter is the point-in-time checkpoint capability of the engine's
-// snapshot lifecycle: a reporter (report.Collector is the canonical
-// implementation) that can produce a deep, independent copy of everything it
-// has accumulated so far. The engine quiesces its shard workers to a safe
-// point — every dispatched event fully delivered, no delivery in flight —
-// snapshots every instance collector through this interface, and resumes; the
-// copies are then merged into an incremental mid-stream report while the
-// originals keep accumulating, so taking a snapshot can never perturb the
-// final end-of-stream report.
-type Snapshotter interface {
-	// SnapshotReport returns an independent deep copy of the accumulated
-	// report state. The copy shares no mutable state with the original:
-	// subsequent warnings added to the original must not be visible through
-	// the copy, and vice versa.
-	SnapshotReport() Reporter
-}
-
-// Summarizer is implemented by tools whose dynamic counters remain meaningful
-// when summed across shard instances. For a block-routed tool that is exactly
-// the per-block counters: each instance observes a disjoint block partition,
-// so the per-instance sums equal the sequential totals. The engine collects
-// SummaryCounts from every instance after the stream ends and adds them up
-// per tool name, shard-count-independently.
+// Summarizer is implemented by tools with dynamic end-of-run counters. The
+// engine collects SummaryCounts from every tool after the stream ends, keyed
+// by tool name.
 type Summarizer interface {
 	SummaryCounts() ToolSummary
 }

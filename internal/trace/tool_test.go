@@ -53,9 +53,14 @@ func TestSafeSinkFinishPanicIsolated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Finish") {
 		t.Errorf("Finish panic not captured: %v", err)
 	}
-	// The sink is disabled after the panic: further events are dropped.
-	s.Access(&Access{})
+	// The sink is disabled after the panic: Finish is not forwarded again.
+	if !s.Disabled() {
+		t.Error("sink not disabled by the Finish panic")
+	}
 	s.Finish()
+	if inner := s.Unwrap().(*finishingSink); inner.finished != 1 {
+		t.Errorf("Finish forwarded %d times, want 1", inner.finished)
+	}
 }
 
 func TestKindCategoryRoundTrip(t *testing.T) {

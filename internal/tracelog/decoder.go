@@ -34,7 +34,7 @@ const (
 // fields relevant to Op are meaningful. Holding events as values (rather
 // than delivering them straight into sinks, as Replay does) is what lets the
 // engine decode a log once, a batch at a time, and hand the same events to
-// every tool or shard worker.
+// every tool.
 type Event struct {
 	Op Op
 	// Access is set for OpAccess.

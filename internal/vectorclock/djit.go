@@ -114,20 +114,10 @@ type Detector struct {
 	races   int
 }
 
-// Factory returns a constructor building an independent detector per
-// collector, for use as a per-shard detector in the parallel engine. Each
-// instance owns its clocks and shadow memory outright.
-//
-// Deprecated: register the detector through Spec instead; Factory remains
-// for single-tool engine callers.
-func Factory(cfg Config) func(col *report.Collector) trace.Sink {
-	return func(col *report.Collector) trace.Sink { return New(cfg, col) }
-}
-
-// Spec registers the detector with the analysis engine's tool registry. Like
-// the lock-set detector it is block-routed: vector clocks are driven purely
-// by broadcast synchronisation events, shadow cells are per block, and every
-// warning arises from a memory access.
+// Spec registers the detector with the analysis engine's tool registry.
+// Each call of its Factory builds an independent detector owning its clocks
+// and shadow memory outright. Like the lock-set detector it is block-routed:
+// a core race detector the overload ladder never sheds.
 func Spec(cfg Config) trace.ToolSpec {
 	cfg = cfg.withDefaults()
 	return trace.ToolSpec{

@@ -11,9 +11,9 @@ import (
 // StackTable interns guest call stacks. Stack IDs are stable for the life of
 // the VM; ID 0 is the empty stack.
 //
-// The table is safe for concurrent use: the guest VM goroutine interns
-// stacks while parallel-engine shard workers resolve them (suppression
-// matching and report formatting go through trace.Resolver mid-run).
+// The table is safe for concurrent use: the guest VM goroutine may intern
+// stacks while another goroutine resolves them (suppression matching and
+// report formatting go through trace.Resolver mid-run).
 type StackTable struct {
 	mu     sync.RWMutex
 	byHash map[uint64][]trace.StackID
