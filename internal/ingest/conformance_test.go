@@ -39,25 +39,28 @@ func buildCorpus(t testing.TB, seeds int) []corpusEntry {
 // TestIngestConformance is the live-vs-offline byte-identity suite: every
 // scenario trace streamed through a live server session must yield exactly
 // the report an offline engine replay of the same trace produces, for all
-// six tools. CI runs this under -race.
+// six tools. Each session runs as one shard: the sequential pipeline.
+// CI runs this under -race.
 func TestIngestConformance(t *testing.T) {
 	corpus := buildCorpus(t, 7)
-	_, addr := startServer(t, ingest.Config{})
-	for _, entry := range corpus {
-		c, err := ingest.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("shards1", func(t *testing.T) {
+		_, addr := startServer(t, ingest.Config{})
+		for _, entry := range corpus {
+			c, err := ingest.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.StreamTrace(entry.name, entry.log, 512)
+			c.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", entry.name, err)
+			}
+			if got != entry.want {
+				t.Errorf("%s: live session report != offline replay:\n--- live ---\n%s--- offline ---\n%s",
+					entry.name, got, entry.want)
+			}
 		}
-		got, err := c.StreamTrace(entry.name, entry.log, 512)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", entry.name, err)
-		}
-		if got != entry.want {
-			t.Errorf("%s: live session report != offline replay:\n--- live ---\n%s--- offline ---\n%s",
-				entry.name, got, entry.want)
-		}
-	}
+	})
 }
 
 // TestIngest64Sessions is the acceptance run: 64 concurrent sessions against

@@ -330,44 +330,46 @@ func TestOverloadFlood(t *testing.T) {
 // site cap all configured but no pressure applied (sessions one at a time,
 // slots to spare), every report is byte-identical to the offline replay —
 // i.e. to the report of a server without any overload machinery. CI runs
-// this under -race.
+// this under -race. Each session runs as one shard: the sequential pipeline.
 func TestOverloadFeaturesZeroPressureIdentity(t *testing.T) {
 	corpus := buildCorpus(t, 4)
-	reg := obs.NewRegistry()
-	_, addr := startServer(t, ingest.Config{
-		MaxSessions:       64,
-		AdmitTimeout:      time.Second,
-		AdmitRate:         10000,
-		AdmitBurst:        64,
-		AdaptiveSampling:  true,
-		DegradationLadder: true,
-		FoldSiteCap:       8,
-		Metrics:           reg,
+	t.Run("shards1", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		_, addr := startServer(t, ingest.Config{
+			MaxSessions:       64,
+			AdmitTimeout:      time.Second,
+			AdmitRate:         10000,
+			AdmitBurst:        64,
+			AdaptiveSampling:  true,
+			DegradationLadder: true,
+			FoldSiteCap:       8,
+			Metrics:           reg,
+		})
+		for _, entry := range corpus {
+			c, err := ingest.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.StreamTrace(entry.name, entry.log, 512)
+			c.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", entry.name, err)
+			}
+			if got != entry.want {
+				t.Errorf("%s: report with overload features enabled differs at zero pressure:\n--- live ---\n%s--- offline ---\n%s",
+					entry.name, got, entry.want)
+			}
+		}
+		series := reg.Series()
+		for _, name := range []string{
+			"ingest_sampled_events_total",
+			"ingest_degraded_sessions_total",
+		} {
+			if series[name] != 0 {
+				t.Errorf("%s = %d at zero pressure, want 0", name, series[name])
+			}
+		}
 	})
-	for _, entry := range corpus {
-		c, err := ingest.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.StreamTrace(entry.name, entry.log, 512)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", entry.name, err)
-		}
-		if got != entry.want {
-			t.Errorf("%s: report with overload features enabled differs at zero pressure:\n--- live ---\n%s--- offline ---\n%s",
-				entry.name, got, entry.want)
-		}
-	}
-	series := reg.Series()
-	for _, name := range []string{
-		"ingest_sampled_events_total",
-		"ingest_degraded_sessions_total",
-	} {
-		if series[name] != 0 {
-			t.Errorf("%s = %d at zero pressure, want 0", name, series[name])
-		}
-	}
 }
 
 // TestFoldSiteCapCompaction drives the bounded retention fold end to end:
