@@ -255,8 +255,8 @@ func BenchmarkAllocatorModes(b *testing.B) {
 
 func BenchmarkDetectorComparison(b *testing.B) {
 	tc, _ := sipp.CaseByID("T2")
-	for _, kind := range []core.DetectorKind{core.DetectorLockset, core.DetectorDJIT, core.DetectorHybrid} {
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, kind := range []string{"lockset", "djit", "hybrid"} {
+		b.Run(kind, func(b *testing.B) {
 			var locations int
 			for i := 0; i < b.N; i++ {
 				opt := harness.DefaultRunOptions()
@@ -271,14 +271,19 @@ func BenchmarkDetectorComparison(b *testing.B) {
 	}
 }
 
-// runCaseWithDetector reruns a SIPp case under an arbitrary detector kind.
-func runCaseWithDetector(tc sipp.TestCase, kind core.DetectorKind, opt harness.RunOptions) (int, error) {
+// runCaseWithDetector reruns a SIPp case under one race detector, named as
+// core.ParseTools names it.
+func runCaseWithDetector(tc sipp.TestCase, kind string, opt harness.RunOptions) (int, error) {
 	o := core.Options{
-		Detector: kind,
-		Lockset:  lockset.ConfigHWLCDR(),
-		Seed:     opt.Seed,
-		Quantum:  opt.Quantum,
+		Lockset: lockset.ConfigHWLCDR(),
+		Seed:    opt.Seed,
+		Quantum: opt.Quantum,
 	}
+	tools, err := o.ParseTools(kind)
+	if err != nil {
+		return 0, err
+	}
+	o.Tools = tools
 	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: true, ForceNew: opt.ForceNew})
 	res, err := core.Run(o, func(main *vm.Thread) {
 		lc := libc.New(main)
@@ -302,7 +307,13 @@ func runCaseWithDetector(tc sipp.TestCase, kind core.DetectorKind, opt harness.R
 func BenchmarkDeadlockDetector(b *testing.B) {
 	var cycles int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.Options{Seed: 1, Deadlocks: true}, func(main *vm.Thread) {
+		opt := core.Options{Seed: 1}
+		tools, err := opt.ParseTools("lockset,deadlock")
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt.Tools = tools
+		res, err := core.Run(opt, func(main *vm.Thread) {
 			v := main.VM()
 			m1, m2, m3 := v.NewMutex("A"), v.NewMutex("B"), v.NewMutex("C")
 			pair := func(x, y *vm.Mutex) func(*vm.Thread) {

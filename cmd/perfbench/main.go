@@ -26,17 +26,12 @@
 //	perfbench -threads 8 -iters 5000
 //	perfbench -json -alloc -ingest > BENCH_$(date +%F).json
 //	perfbench -check BENCH_2026-08-07.json
-//	perfbench -compare BENCH_2026-08-07.json BENCH_2026-09-01.json
-//	perfbench -tooltime
 //	perfbench -tools lockset,djit,deadlock,memcheck,highlevel
 //	perfbench -ingest -ingest-sessions 1,8,64
 //
-// -compare OLD.json NEW.json prints a benchstat-style delta table between two
-// BENCH documents and exits non-zero if sequential replay allocs/event
-// regressed by more than -compare-tolerance (default 10%) — the CI
-// bench-regression gate. -tooltime brackets every delivery in the one-pass
-// comparative mode with clock reads and prints a per-tool time attribution
-// table (residual = decode + dispatch).
+// The text output ends the one-pass comparative mode with a per-tool time
+// attribution table (engine.Sequential.ToolTimes; the residual is decode,
+// dispatch, the end-of-stream passes and the merge).
 package main
 
 import (
@@ -65,9 +60,6 @@ func main() {
 		asJSON         = flag.Bool("json", false, "emit machine-readable JSON instead of the text table")
 		alloc          = flag.Bool("alloc", false, "also measure allocs/event and bytes/event per replay measurement")
 		check          = flag.String("check", "", "validate an existing BENCH JSON file against the current schema and exit")
-		compare        = flag.Bool("compare", false, "compare two BENCH JSON files (old new) and exit; non-zero on allocs/event regression beyond -compare-tolerance")
-		compareTol     = flag.Float64("compare-tolerance", 0.10, "relative sequential-replay allocs/event regression tolerated by -compare")
-		toolTime       = flag.Bool("tooltime", false, "measure per-tool wall time in the one-pass comparative mode (adds two clock reads per delivery)")
 		ingest         = flag.Bool("ingest", false, "also measure live-ingest throughput through the trace-ingest server")
 		ingestSessions = flag.String("ingest-sessions", "1,8,64", "comma-separated concurrent session counts for -ingest")
 		overload       = flag.Bool("overload", false, "also measure the overload workload: a flood of sessions against a small server with bounded admission and adaptive degradation")
@@ -77,31 +69,6 @@ func main() {
 	flag.Parse()
 	if *repeat < 1 {
 		*repeat = 1
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "perfbench: -compare needs exactly two arguments: OLD.json NEW.json")
-			os.Exit(2)
-		}
-		oldDoc, err := loadBenchDoc(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
-		}
-		newDoc, err := loadBenchDoc(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
-		}
-		cmp := harness.CompareBenchDocs(oldDoc, newDoc)
-		fmt.Print(cmp.Table)
-		if cmp.WorstSeqAllocRegress > *compareTol {
-			fmt.Fprintf(os.Stderr, "perfbench: sequential replay allocs/event regressed %.1f%% (tolerance %.1f%%)\n",
-				cmp.WorstSeqAllocRegress*100, *compareTol*100)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *check != "" {
@@ -127,7 +94,6 @@ func main() {
 	wr := w
 	wr.Blocks = *slots
 	wr.MeasureAllocs = *alloc
-	wr.ToolTime = *toolTime
 	best := map[harness.PerfMode]harness.PerfResult{}
 	for r := 0; r < *repeat; r++ {
 		results, err := w.Overhead()
@@ -312,28 +278,23 @@ func main() {
 		}
 		fmt.Printf("%-14s %14.1f   %s\n", op.Mode, op.NsPerEvt, locs)
 	}
-	if *toolTime {
-		for _, op := range onePass {
-			if len(op.ToolNs) == 0 {
-				continue
-			}
-			names := make([]string, 0, len(op.ToolNs))
-			var toolTotal int64
-			for n, ns := range op.ToolNs {
-				names = append(names, n)
-				toolTotal += ns
-			}
-			sort.Strings(names)
-			fmt.Printf("\nper-tool time, %s mode (%d events):\n\n", op.Mode, op.Events)
-			fmt.Printf("%-14s %14s %12s\n", "tool", "ns/event", "share")
-			for _, n := range names {
-				fmt.Printf("%-14s %14.1f %11.1f%%\n", n,
-					float64(op.ToolNs[n])/float64(op.Events), float64(op.ToolNs[n])/float64(op.NsTotal)*100)
-			}
-			if resid := op.NsTotal - toolTotal; resid > 0 {
-				fmt.Printf("%-14s %14.1f %11.1f%%   (decode + dispatch)\n", "residual",
-					float64(resid)/float64(op.Events), float64(resid)/float64(op.NsTotal)*100)
-			}
+	for _, op := range onePass {
+		names := make([]string, 0, len(op.ToolNs))
+		var toolTotal int64
+		for n, ns := range op.ToolNs {
+			names = append(names, n)
+			toolTotal += ns
+		}
+		sort.Strings(names)
+		fmt.Printf("\nper-tool time, %s mode (%d events):\n\n", op.Mode, op.Events)
+		fmt.Printf("%-14s %14s %12s\n", "tool", "ns/event", "share")
+		for _, n := range names {
+			fmt.Printf("%-14s %14.1f %11.1f%%\n", n,
+				float64(op.ToolNs[n])/float64(op.Events), float64(op.ToolNs[n])/float64(op.NsTotal)*100)
+		}
+		if resid := op.NsTotal - toolTotal; resid > 0 {
+			fmt.Printf("%-14s %14.1f %11.1f%%   (decode, dispatch, Finish, merge)\n", "residual",
+				float64(resid)/float64(op.Events), float64(resid)/float64(op.NsTotal)*100)
 		}
 	}
 	if *tools == "" {
@@ -358,19 +319,6 @@ func main() {
 			time.Duration(r.NsTotal).Round(time.Millisecond),
 			time.Duration(r.MaxRejectNs).Round(time.Millisecond))
 	}
-}
-
-// loadBenchDoc reads and schema-validates one BENCH JSON file.
-func loadBenchDoc(path string) (*harness.BenchDoc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := harness.ParseBenchDoc(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
 }
 
 // parseSessionCounts parses "1,8,64" into ints.

@@ -1,15 +1,16 @@
 // Command racecheck runs one of the built-in demonstration workloads under a
-// chosen detector configuration and prints the Helgrind-style report — the
-// interactive entry point to the library, analogous to invoking
+// chosen tool set and lock-set configuration and prints the Helgrind-style
+// report — the interactive entry point to the library, analogous to invoking
 // `valgrind --tool=helgrind ./program`.
 //
 // Usage:
 //
 //	racecheck -list
 //	racecheck -workload stringrace -config original
-//	racecheck -workload counter -detector djit
+//	racecheck -workload counter -tools djit
 //	racecheck -workload threadpool -config hwlc+dr -edges full
-//	racecheck -workload counter -tools lockset,djit,deadlock,memcheck
+//	racecheck -workload birthday -tools lockset,highlevel
+//	racecheck -workload counter -tools all
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cppmodel"
@@ -138,7 +140,7 @@ var workloads = map[string]struct {
 		},
 	},
 	"birthday": {
-		desc: "§2.1: date-of-birth/age updated in separate critical sections (needs -highlevel)",
+		desc: "§2.1: date-of-birth/age updated in separate critical sections (needs -tools ...,highlevel)",
 		body: func(rt *cppmodel.Runtime) func(*vm.Thread) {
 			return func(main *vm.Thread) {
 				v := main.VM()
@@ -168,7 +170,7 @@ var workloads = map[string]struct {
 		},
 	},
 	"deadlock": {
-		desc: "ABBA lock inversion (reported by -deadlocks even when it does not strike)",
+		desc: "ABBA lock inversion (reported by the deadlock tool even when it does not strike)",
 		body: func(rt *cppmodel.Runtime) func(*vm.Thread) {
 			return func(main *vm.Thread) {
 				v := main.VM()
@@ -197,16 +199,12 @@ var workloads = map[string]struct {
 
 func main() {
 	var (
-		workload  = flag.String("workload", "counter", "workload to run (see -list)")
-		list      = flag.Bool("list", false, "list workloads")
-		config    = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
-		detector  = flag.String("detector", "lockset", "detector: lockset | djit | hybrid | none")
-		edges     = flag.String("edges", "helgrind", "segment edges: helgrind | full")
-		seed      = flag.Int64("seed", 1, "scheduler seed")
-		deadlocks = flag.Bool("deadlocks", true, "attach the lock-order deadlock tool")
-		memchk    = flag.Bool("memcheck", true, "attach the memcheck tool")
-		highlevel = flag.Bool("highlevel", false, "attach the view-consistency (high-level race) checker")
-		tools     = flag.String("tools", "", "run this comma-separated tool set in one pass (e.g. lockset,djit,deadlock; 'all' for every tool); overrides -detector and the attach flags")
+		workload = flag.String("workload", "counter", "workload to run (see -list)")
+		list     = flag.Bool("list", false, "list workloads")
+		config   = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
+		edges    = flag.String("edges", "helgrind", "segment edges: helgrind | full")
+		seed     = flag.Int64("seed", 1, "scheduler seed")
+		tools    = flag.String("tools", "lockset,deadlock,memcheck", "comma-separated tool set run in one pass: "+strings.Join(core.ToolNames, ", ")+"; 'all' for every tool")
 	)
 	flag.Parse()
 
@@ -227,20 +225,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := core.Options{Seed: *seed, Deadlocks: *deadlocks, Memcheck: *memchk, HighLevel: *highlevel}
-	switch *detector {
-	case "lockset":
-		opt.Detector = core.DetectorLockset
-	case "djit":
-		opt.Detector = core.DetectorDJIT
-	case "hybrid":
-		opt.Detector = core.DetectorHybrid
-	case "none":
-		opt.Detector = core.DetectorNone
-	default:
-		fmt.Fprintf(os.Stderr, "racecheck: unknown detector %q\n", *detector)
-		os.Exit(2)
-	}
+	opt := core.Options{Seed: *seed}
 	annotate := false
 	switch *config {
 	case "original":
@@ -257,18 +242,14 @@ func main() {
 	if *edges == "full" {
 		opt.Lockset.Mask = trace.MaskFull
 	}
-	label := fmt.Sprintf("%s/%s", *detector, *config)
-	if *tools != "" {
-		// The registry path: every named tool runs over one pass of the
-		// stream, using the configs assembled above.
-		specs, err := opt.ParseTools(*tools)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "racecheck:", err)
-			os.Exit(2)
-		}
-		opt.Tools = specs
-		label = fmt.Sprintf("tools=%s (%s)", *tools, *config)
+	// Every named tool runs over one pass of the stream, using the lock-set
+	// configuration assembled above.
+	specs, err := opt.ParseTools(*tools)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "racecheck:", err)
+		os.Exit(2)
 	}
+	opt.Tools = specs
 
 	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: annotate, ForceNew: true})
 	res, err := core.Run(opt, wl.body(rt))
@@ -276,7 +257,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racecheck:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("== workload %q under %s (seed %d)\n\n", *workload, label, *seed)
+	fmt.Printf("== workload %q under tools=%s (%s) (seed %d)\n\n", *workload, *tools, *config, *seed)
 	fmt.Print(res.Report())
 	if res.Err != nil {
 		fmt.Printf("\nguest execution ended abnormally: %v\n", res.Err)

@@ -35,11 +35,13 @@
 // (tracelog.Decoder.NextBatch), live events are copied into it — and a batch
 // is handed to one tool at a time under a single recover, the sequence number
 // stamped per event, so the report is the one event-by-event delivery gives.
-// A tool that panics is disabled from that event on (trace.SafeSink keeps the
+// A tool that panics is disabled from that event on (the engine keeps the
 // error for Close) and its siblings are unaffected; a partly filled batch is
 // delivered by Snapshot and Close. At the end of the stream, end-of-phase
-// passes (trace.Finisher) run, and report.Merge folds all collectors into one
-// report ordered by global first-seen occurrence across tools.
+// passes (trace.Finisher) run under the same isolation, and report.Merge
+// folds all collectors into one report ordered by global first-seen
+// occurrence across tools. The wall time each tool spends in its handlers is
+// measured per batch (engine.Sequential.ToolTimes).
 //
 // # The engine (internal/engine)
 //
@@ -163,8 +165,9 @@
 //     busy error (tracelog.ErrBusy) with a retry-after hint. Under pressure
 //     a degradation ladder sheds auxiliary tools (never the paper's core
 //     block-routed detectors) and an adaptive sampler drops a deterministic
-//     per-block fraction of access events, with exact sampled-out counts
-//     stamped into session reports and the aggregate; the retention fold
+//     per-block fraction of access events from the session pipeline's
+//     batches before delivery (engine.Options.Keep), with exact sampled-out
+//     counts stamped into session reports and the aggregate; the retention fold
 //     can cap per-site detail (Config.FoldSiteCap). At zero pressure every
 //     mechanism is inert and reports stay byte-identical — see the README's
 //     "Overload survival" section.
@@ -255,11 +258,11 @@
 // lock-set transitions so the canonical-set probe runs once per new edge,
 // not once per event. The whole layout change is pinned byte-exact by
 // TestGoldenReportDigests against report digests committed before it.
-// TestZeroAlloc* budget tests pin the allocation claims; BENCH_<date>.json
-// files at the repo root record the ns/event and allocs/event trajectory
-// (harness.BenchDoc, regenerated by perfbench -json -alloc, diffed by
-// perfbench -compare — also CI's bench-regression gate). See the README's
-// "Performance" section for the full architecture.
+// TestZeroAlloc* budget tests pin the allocation claims, including the
+// lock-set detector's ≤ 0.01 allocs/event over the §4.5 workload;
+// BENCH_<date>.json files at the repo root record the ns/event and
+// allocs/event trajectory (harness.BenchDoc, regenerated by perfbench -json
+// -alloc). See the README's "Performance" section for the full architecture.
 //
 // See README.md for the architecture overview. The public entry point is
 // internal/core; the benchmarks in bench_test.go regenerate every table and

@@ -38,66 +38,21 @@ import (
 	"repro/internal/vm"
 )
 
-// DetectorKind selects the race-detection algorithm for the deprecated
-// single-detector Options fields; prefer Options.Tools.
-type DetectorKind uint8
-
-// Available detectors.
-const (
-	// DetectorLockset is the Eraser/Helgrind lock-set algorithm with the
-	// paper's improvements — the primary contribution.
-	DetectorLockset DetectorKind = iota
-	// DetectorDJIT is the pure happens-before baseline [6].
-	DetectorDJIT
-	// DetectorHybrid is the lock-set + happens-before hybrid [12].
-	DetectorHybrid
-	// DetectorNone runs without a race detector (for overhead baselines).
-	DetectorNone
-)
-
-func (k DetectorKind) String() string {
-	switch k {
-	case DetectorLockset:
-		return "lockset"
-	case DetectorDJIT:
-		return "djit"
-	case DetectorHybrid:
-		return "hybrid"
-	default:
-		return "none"
-	}
-}
-
 // Options configures a checking run.
 type Options struct {
 	// Tools is the full tool registry for the run: every listed tool runs
-	// concurrently over one pass of the event stream (see trace.ToolSpec and
-	// the Spec constructors in the detector packages). When Tools is empty,
-	// the deprecated selector fields below are converted into the
-	// equivalent registry — one race detector plus the requested auxiliary
-	// tools.
+	// over one pass of the event stream (see trace.ToolSpec, the Spec
+	// constructors in the detector packages and ParseTools). Empty runs the
+	// lock-set detector alone, configured by Lockset.
 	Tools []trace.ToolSpec
-	// Detector selects the algorithm (default DetectorLockset).
-	// Deprecated: list the detector in Tools instead.
-	Detector DetectorKind
 	// Lockset configures the lock-set detector. The zero value (and only
 	// the zero value — see lockset.Config.IsZero) defaults to the paper's
 	// strongest configuration, HWLC+DR.
 	Lockset lockset.Config
-	// DJIT configures the happens-before detector when selected.
+	// DJIT configures the happens-before detector ParseTools builds.
 	DJIT vectorclock.Config
-	// Hybrid configures the hybrid detector when selected.
+	// Hybrid configures the hybrid detector ParseTools builds.
 	Hybrid hybrid.Config
-	// Deadlocks attaches the lock-order-graph deadlock tool.
-	// Deprecated: list deadlock.Spec in Tools instead.
-	Deadlocks bool
-	// Memcheck attaches the use-after-free tool.
-	// Deprecated: list memcheck.Spec in Tools instead.
-	Memcheck bool
-	// HighLevel attaches the view-consistency checker for high-level data
-	// races ([1], discussed in the paper's §2.1).
-	// Deprecated: list highlevel.Spec in Tools instead.
-	HighLevel bool
 	// Suppressions holds suppression rules in the Valgrind-like format
 	// accepted by internal/suppress.
 	Suppressions string
@@ -140,34 +95,12 @@ func (opt Options) djitSpec() trace.ToolSpec {
 }
 
 // toolSpecs resolves Options into the effective registry: Tools verbatim
-// when set, otherwise the deprecated selector fields adapted.
-func (opt Options) toolSpecs() ([]trace.ToolSpec, error) {
+// when set, otherwise the lock-set detector alone.
+func (opt Options) toolSpecs() []trace.ToolSpec {
 	if len(opt.Tools) > 0 {
-		return opt.Tools, nil
+		return opt.Tools
 	}
-	var specs []trace.ToolSpec
-	switch opt.Detector {
-	case DetectorLockset:
-		specs = append(specs, opt.locksetSpec())
-	case DetectorDJIT:
-		specs = append(specs, opt.djitSpec())
-	case DetectorHybrid:
-		specs = append(specs, hybrid.Spec(opt.Hybrid))
-	case DetectorNone:
-		// No race detector.
-	default:
-		return nil, fmt.Errorf("core: unknown detector %d", opt.Detector)
-	}
-	if opt.Deadlocks {
-		specs = append(specs, deadlock.Spec(deadlock.Config{}))
-	}
-	if opt.Memcheck {
-		specs = append(specs, memcheck.Spec(memcheck.Config{}))
-	}
-	if opt.HighLevel {
-		specs = append(specs, highlevel.Spec(highlevel.Config{}))
-	}
-	return specs, nil
+	return []trace.ToolSpec{opt.locksetSpec()}
 }
 
 // ToolNames lists the names accepted by ParseTools.
@@ -263,10 +196,7 @@ func (r *Result) Report() string { return r.Collector.Format() }
 // step limit) are reported in Result.Err so that warnings collected up to
 // that point remain accessible.
 func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
-	specs, err := opt.toolSpecs()
-	if err != nil {
-		return nil, err
-	}
+	specs := opt.toolSpecs()
 	machine := vm.New(vm.Options{Seed: opt.Seed, Quantum: opt.Quantum, MaxSteps: opt.MaxSteps})
 
 	var sup report.Suppressor
@@ -280,21 +210,14 @@ func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
 	res := &Result{VM: machine}
 
 	// The registry consumes the VM's event stream live, in one pass.
-	var pipe *engine.Sequential
-	if len(specs) > 0 {
-		pipe, err = engine.NewSequential(engine.Options{Tools: specs, Resolver: machine, Suppressor: sup})
-		if err != nil {
-			return nil, fmt.Errorf("core: engine: %w", err)
-		}
-		machine.AddTool(pipe)
+	pipe, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: machine, Suppressor: sup})
+	if err != nil {
+		return nil, fmt.Errorf("core: engine: %w", err)
 	}
+	machine.AddTool(pipe)
 
 	res.Err = machine.Run(body)
 	res.Steps = machine.Steps()
-	if pipe == nil {
-		res.Collector = report.NewCollector(machine, sup)
-		return res, nil
-	}
 	merged, cerr := pipe.Close()
 	if cerr != nil && res.Err == nil {
 		res.Err = cerr

@@ -22,6 +22,18 @@ func racyProgram(main *vm.Thread) {
 	main.Join(c)
 }
 
+// withTools returns opt with its registry set to the named tools, built by
+// opt.ParseTools.
+func withTools(t *testing.T, opt Options, list string) Options {
+	t.Helper()
+	specs, err := opt.ParseTools(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Tools = specs
+	return opt
+}
+
 func TestRunDefaultLockset(t *testing.T) {
 	res, err := Run(Options{Seed: 1}, racyProgram)
 	if err != nil {
@@ -42,27 +54,14 @@ func TestRunDefaultLockset(t *testing.T) {
 }
 
 func TestRunDJITAndHybrid(t *testing.T) {
-	for _, kind := range []DetectorKind{DetectorDJIT, DetectorHybrid} {
-		res, err := Run(Options{Detector: kind, Seed: 1}, racyProgram)
+	for _, kind := range []string{"djit", "hybrid"} {
+		res, err := Run(withTools(t, Options{Seed: 1}, kind), racyProgram)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if res.Locations() == 0 {
 			t.Errorf("%v reported no locations for a racy program", kind)
 		}
-	}
-}
-
-func TestRunDetectorNone(t *testing.T) {
-	res, err := Run(Options{Detector: DetectorNone, Seed: 1}, racyProgram)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Locations() != 0 {
-		t.Error("DetectorNone must not report")
-	}
-	if res.Steps == 0 {
-		t.Error("program did not execute")
 	}
 }
 
@@ -93,7 +92,7 @@ func TestRunBadSuppressions(t *testing.T) {
 }
 
 func TestRunGuestDeadlockSurfaced(t *testing.T) {
-	res, err := Run(Options{Seed: 1, Deadlocks: true}, func(main *vm.Thread) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "lockset,deadlock"), func(main *vm.Thread) {
 		v := main.VM()
 		m1, m2 := v.NewMutex("A"), v.NewMutex("B")
 		a := main.Go("a", func(t *vm.Thread) {
@@ -123,7 +122,7 @@ func TestRunGuestDeadlockSurfaced(t *testing.T) {
 }
 
 func TestRunMemcheck(t *testing.T) {
-	res, err := Run(Options{Seed: 1, Memcheck: true}, func(main *vm.Thread) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "lockset,memcheck"), func(main *vm.Thread) {
 		b := main.Alloc(8, "x")
 		b.Free(main)
 		b.Load32(main, 0)
@@ -179,7 +178,7 @@ func TestDetectorComparisonE12(t *testing.T) {
 	// unlocked write lands second... here it lands first, so Eraser's
 	// delayed lock-set initialisation ALSO misses it — the §4.3 false
 	// negative — while the unordered variant is caught by both.
-	djit, err := Run(Options{Detector: DetectorDJIT, Seed: 1}, prog(true))
+	djit, err := Run(withTools(t, Options{Seed: 1}, "djit"), prog(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestDetectorComparisonE12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := Run(Options{Detector: DetectorDJIT, Seed: 2}, prog(false))
+	hb, err := Run(withTools(t, Options{Seed: 2}, "djit"), prog(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestDetectorComparisonE12(t *testing.T) {
 }
 
 func TestRunHighLevelDetector(t *testing.T) {
-	res, err := Run(Options{Seed: 1, HighLevel: true, Detector: DetectorNone}, func(main *vm.Thread) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "highlevel"), func(main *vm.Thread) {
 		v := main.VM()
 		mu := v.NewMutex("mu")
 		pair := main.Alloc(8, "pair")

@@ -167,7 +167,7 @@ func TestRunLocksetDefaultingIsExplicit(t *testing.T) {
 // intentional and must not be clobbered to DefaultConfig.
 func TestRunDJITDefaultingIsExplicit(t *testing.T) {
 	djitOf := func(opt Options) vectorclock.Config {
-		spec := opt.djitSpec()
+		spec := withTools(t, opt, "djit").Tools[0]
 		det, ok := spec.Factory(report.NewCollector(nil, nil)).(*vectorclock.Detector)
 		if !ok {
 			t.Fatalf("djit spec factory built a %T, want *vectorclock.Detector", det)
@@ -212,27 +212,5 @@ func TestParseTools(t *testing.T) {
 	}
 	if specs[0].Name != "helgrind" {
 		t.Errorf("lockset spec name = %q", specs[0].Name)
-	}
-}
-
-// TestRunToolsOverridesDeprecatedFields: a non-empty Tools registry wins over
-// the legacy selector fields.
-func TestRunToolsOverridesDeprecatedFields(t *testing.T) {
-	res, err := Run(Options{
-		Seed:     1,
-		Detector: DetectorDJIT, // ignored
-		Memcheck: true,         // ignored
-		Tools:    []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLCDR())},
-	}, racyProgram)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, w := range res.Collector.Sites() {
-		if w.Tool != "helgrind" {
-			t.Errorf("unexpected tool %q in report; Tools should fully define the registry", w.Tool)
-		}
-	}
-	if res.LocksetDetector == nil {
-		t.Error("lockset instance not surfaced")
 	}
 }

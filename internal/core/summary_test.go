@@ -47,7 +47,7 @@ var wantMemcheckSummary = trace.ToolSummary{
 // carries the error and leak totals, and the detector instance behind
 // Result.MemcheckDetector agrees with them.
 func TestMemcheckSummary(t *testing.T) {
-	res, err := Run(Options{Memcheck: true, Seed: 1}, summaryGuest)
+	res, err := Run(withTools(t, Options{Seed: 1}, "lockset,memcheck"), summaryGuest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/lockset"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -59,44 +60,58 @@ func TestZeroAllocDispatch(t *testing.T) {
 }
 
 // TestZeroAllocDetectorPath budgets the full analysis path, not just
-// dispatch: the complete six-tool registry — lock-set, DJIT, hybrid,
-// deadlock, memcheck, high-level — run end to end over a recorded stream,
-// including pipeline construction, detector state growth, end-of-stream
-// passes and the merged report. The dense-index/slab/epoch state layout keeps
-// the whole run at ≤ 1 allocation per event (the steady-state figure is far
-// lower; see the BENCH files — this test pins
-// the budget that the CI bench-regression gate also enforces, with the fixed
-// costs of a fresh pipeline amortised over only one small trace).
+// dispatch: a registry run end to end over a recorded stream, including
+// pipeline construction, detector state growth, end-of-stream passes and the
+// merged report, with the fixed costs of a fresh pipeline amortised over one
+// trace. The dense-index/slab/epoch state layout keeps the complete six-tool
+// registry — lock-set, DJIT, hybrid, deadlock, memcheck, high-level — at ≤ 1
+// allocation per event even on a small trace, and the lock-set detector
+// alone over the §4.5 workload at ≤ 0.01.
 func TestZeroAllocDetectorPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments every access; budget enforced by the non-race CI step")
 	}
-	// The perfbench workload, scaled down: a few thousand events is enough to
-	// amortise the fixed pipeline/detector construction the budget includes,
-	// where the ~100-event conformance scenarios are not.
-	w := harness.PerfWorkload{Threads: 2, Iters: 200, Slots: 16, Blocks: 16, Seed: 1}
-	_, log, err := w.RecordTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := decodeEvents(t, log)
+	for _, in := range []struct {
+		name   string
+		w      harness.PerfWorkload
+		tools  func() []trace.ToolSpec
+		budget float64
+	}{
+		// The perfbench workload, scaled down: a few thousand events is
+		// enough to amortise the fixed pipeline/detector construction the
+		// budget includes, where the ~100-event conformance scenarios are not.
+		{"all-tools", harness.PerfWorkload{Threads: 2, Iters: 200, Slots: 16, Blocks: 16, Seed: 1}, scenario.AllTools, 1.0},
+		// The §4.5 workload at perfbench's replay settings.
+		{"lockset-4.5", harness.PerfWorkload{Threads: 4, Iters: 2000, Slots: 64, Blocks: 64, Seed: 1},
+			func() []trace.ToolSpec { return []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLCDR())} }, 0.01},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			_, log, err := in.w.RecordTrace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := decodeEvents(t, log)
 
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run := func() {
-		seq, err := engine.NewSequential(engine.Options{Tools: scenario.AllTools()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range events {
-			events[i].Deliver(seq)
-		}
-		if _, err := seq.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm shared state (interned strings, pooled buffers)
-	allocs := testing.AllocsPerRun(5, run)
-	if perEvent := allocs / float64(len(events)); perEvent > 1.0 {
-		t.Errorf("%.3f allocs/event (%.0f allocs per %d-event run), budget 1.0", perEvent, allocs, len(events))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			run := func() {
+				seq, err := engine.NewSequential(engine.Options{Tools: in.tools()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range events {
+					events[i].Deliver(seq)
+				}
+				if _, err := seq.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm shared state (interned strings, pooled buffers)
+			allocs := testing.AllocsPerRun(5, run)
+			perEvent := allocs / float64(len(events))
+			if perEvent > in.budget {
+				t.Errorf("%.4f allocs/event (%.0f allocs per %d-event run), budget %g", perEvent, allocs, len(events), in.budget)
+			}
+			t.Logf("%.4f allocs/event (%d events)", perEvent, len(events))
+		})
 	}
 }

@@ -16,8 +16,13 @@
 //     collectors deterministically (report.Merge): duplicate sites fold with
 //     summed counts and the merged order is the global first-seen order
 //     across every tool — exactly what event-major delivery would produce.
-//   - A tool that panics is disabled from the panicking event on; the other
-//     tools are unaffected and Close reports the panic.
+//   - A tool that panics — in an event handler or in its end-of-stream pass —
+//     is disabled from that point on; the other tools are unaffected and
+//     Close reports the panic.
+//   - An optional filter (Options.Keep) drops events from a gathered batch
+//     before any tool sees them; the ingest server's sampler is one.
+//   - The wall time of every tool's handlers is measured per batch
+//     (ToolTimes).
 //   - Snapshot is a non-perturbing mid-stream checkpoint: it delivers the
 //     partly filled batch and deep-copies every collector, so the final
 //     report of a run with any number of snapshots is byte-identical to a
@@ -29,6 +34,7 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/tracelog"
 )
 
 // Options configures a Sequential.
@@ -45,16 +51,16 @@ type Options struct {
 	// Suppressor applies suppression rules in every tool's collector.
 	Suppressor report.Suppressor
 	// Metrics, when non-nil, receives hot-path instrumentation (events
-	// delivered, batches flushed, snapshot clone time, absorbed tool panics).
+	// delivered, batches flushed, snapshot clone time, caught tool panics).
 	// Several pipelines may share one Metrics. Instrumentation never
 	// influences analysis: reports are byte-identical with or without it.
 	Metrics *Metrics
-	// ToolTime, when true, measures the wall time spent inside each tool's
-	// event handlers; ToolTimes returns the totals after Close. It brackets
-	// every (tool, batch) delivery with two clock reads, so it is off by
-	// default and meant for attribution runs (perfbench -tooltime). Like
-	// Metrics, it never changes analysis output.
-	ToolTime bool
+	// Keep, when non-nil, filters the stream before delivery: it is called
+	// once per event, in stream order, and an event it rejects reaches no
+	// tool, gets no sequence number and is not counted by Events or the
+	// decoded-events metric. The ingest server's adaptive sampler is one.
+	// Nil keeps every event.
+	Keep func(*tracelog.Event) bool
 }
 
 // NewPipeline is NewSequential, under the name the bench module calls.

@@ -19,7 +19,8 @@ type Metrics struct {
 	BatchesFlushed *obs.Counter
 	// SnapshotQuiesceNs observes the collector clone time of each snapshot.
 	SnapshotQuiesceNs *obs.Histogram
-	// ToolPanics counts panics absorbed by the tools' SafeSinks.
+	// ToolPanics counts tool panics caught by the pipelines; each disables
+	// the tool that panicked.
 	ToolPanics *obs.Counter
 }
 
@@ -32,6 +33,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BatchesFlushed: reg.Counter("engine_batches_flushed_total", "Event batches delivered to the tools."),
 		SnapshotQuiesceNs: reg.Histogram("engine_snapshot_quiesce_ns",
 			"Pipeline snapshot collector clone time, nanoseconds.", obs.LatencyBuckets()),
-		ToolPanics: reg.Counter("engine_tool_panics_total", "Tool panics absorbed by SafeSink isolation."),
+		ToolPanics: reg.Counter("engine_tool_panics_total", "Tool panics caught by the engine; each disables the tool that panicked."),
 	}
 }

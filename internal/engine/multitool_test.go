@@ -170,7 +170,7 @@ func (c *countingSink) Access(a *trace.Access) {
 }
 
 // TestEngineSiblingPanicIsolation: a panicking tool must not take down its
-// sibling tools — each sits behind its own SafeSink. The healthy tool must
+// sibling tools — each runs under its own recover. The healthy tool must
 // report every block, including those after the panic, and Close must
 // surface the panic.
 func TestEngineSiblingPanicIsolation(t *testing.T) {

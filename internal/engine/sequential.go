@@ -32,26 +32,33 @@ type seqBatch struct {
 
 var seqBatchPool = sync.Pool{New: func() any { return new(seqBatch) }}
 
-// toolInst is one registered tool: its sink behind a panic isolator and a
-// private collector stamping new sites with Sequential.cur. Sequential
-// delivers a batch to the unwrapped tool under one recover of its own and
-// reports a panic to the SafeSink (Absorb), which keeps the disabled flag and
-// the error.
+// toolInst is one registered tool: its sink, a private collector stamping new
+// sites with Sequential.cur, and the panic that disabled it. Sequential runs
+// the sink under a recover of its own and hands a caught panic to absorb.
 type toolInst struct {
-	name string
-	col  *report.Collector
-	sink *trace.SafeSink
-	ns   int64 // time inside handlers, accumulated when Options.ToolTime is on
+	name     string
+	col      *report.Collector
+	sink     trace.Sink
+	err      error // the first panic
+	disabled bool  // the sink panicked, or the factory returned nil
+	ns       int64 // wall time inside the sink's event handlers
 }
 
 func newToolInst(spec trace.ToolSpec, opt Options, cur *uint64) *toolInst {
 	col := report.NewCollector(opt.Resolver, opt.Suppressor)
 	col.SetSequencer(func() uint64 { return *cur })
-	ss := trace.NewSafeSink(spec.Factory(col))
-	if opt.Metrics != nil {
-		ss.OnPanic = opt.Metrics.ToolPanics.Inc
+	sink := spec.Factory(col)
+	return &toolInst{name: spec.Name, col: col, sink: sink, disabled: sink == nil}
+}
+
+// absorb disables the tool over a panic value recovered in the named
+// callback: it takes no further events and Close reports the error.
+func (ti *toolInst) absorb(callback string, recovered any, met *Metrics) {
+	ti.disabled = true
+	ti.err = fmt.Errorf("trace: sink %q panicked in %s: %v", ti.sink.ToolName(), callback, recovered)
+	if met != nil {
+		met.ToolPanics.Inc()
 	}
-	return &toolInst{name: spec.Name, col: col, sink: ss}
 }
 
 // Sequential is the analysis pipeline: one tool registry, per-tool
@@ -105,7 +112,8 @@ func NewSequential(opt Options) (*Sequential, error) {
 }
 
 // Events returns the number of events taken in so far, delivered or still
-// gathered in the batch.
+// gathered in the batch. With Options.Keep set, gathered events are counted
+// before the filter runs; after Snapshot or Close the count is exact.
 func (s *Sequential) Events() int64 { return int64(s.seq) + int64(s.n) }
 
 // batch returns the batch buffer, taking one from the pool on first use.
@@ -116,45 +124,52 @@ func (s *Sequential) batch() *seqBatch {
 	return s.b
 }
 
-// flush delivers the gathered events tool-major and empties the batch.
+// flush runs the gathered events through Options.Keep, compacting the batch
+// in place, delivers the kept ones tool-major and empties the batch.
 func (s *Sequential) flush() {
 	if s.n == 0 {
 		return
 	}
 	evs := s.b.ev[:s.n]
+	if keep := s.opt.Keep; keep != nil {
+		kept := 0
+		for i := range evs {
+			if keep(&evs[i]) {
+				evs[kept] = evs[i]
+				kept++
+			}
+		}
+		evs = evs[:kept]
+	}
 	for _, ti := range s.insts {
 		s.deliver(ti, evs)
 	}
-	s.seq += uint64(s.n)
+	s.seq += uint64(len(evs))
 	if s.met != nil {
-		s.met.EventsDecoded.Add(int64(s.n))
+		s.met.EventsDecoded.Add(int64(len(evs)))
 		s.met.BatchesFlushed.Inc()
 	}
 	s.n = 0
 	s.b.edges = s.b.edges[:0]
 }
 
-// deliver runs one tool over the batch under one recover. The collectors
-// read s.cur when they stamp a new site, so it is set for every event; a
-// panic disables the tool at the event it was handling.
+// deliver runs one tool over the batch under one recover and adds the time
+// it took to the tool's total. The collectors read s.cur when they stamp a
+// new site, so it is set for every event; a panic disables the tool at the
+// event it was handling.
 func (s *Sequential) deliver(ti *toolInst, evs []tracelog.Event) {
-	if ti.sink.Disabled() {
+	if ti.disabled {
 		return
 	}
-	var t0 time.Time
-	if s.opt.ToolTime {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	k := 0
 	defer func() {
 		if r := recover(); r != nil {
-			ti.sink.Absorb(evs[k].Op.String(), r)
+			ti.absorb(evs[k].Op.String(), r, s.met)
 		}
-		if s.opt.ToolTime {
-			ti.ns += time.Since(t0).Nanoseconds()
-		}
+		ti.ns += time.Since(t0).Nanoseconds()
 	}()
-	sink := ti.sink.Unwrap()
+	sink := ti.sink
 	for k = range evs {
 		s.cur = s.seq + uint64(k) + 1
 		evs[k].Deliver(sink)
@@ -226,14 +241,30 @@ func (s *Sequential) Close() (*report.Collector, error) {
 	s.cur = s.seq + 1 // Finish-phase warnings sort after every stream event
 	cols := make([]*report.Collector, len(s.insts))
 	for i, ti := range s.insts {
-		ti.sink.Finish()
+		s.finish(ti)
 		cols[i] = ti.col
-		if err := ti.sink.Err(); err != nil && s.err == nil {
-			s.err = err
+		if ti.err != nil && s.err == nil {
+			s.err = ti.err
 		}
 	}
 	s.merged = report.Merge(s.opt.Resolver, s.opt.Suppressor, cols...)
 	return s.merged, s.err
+}
+
+// finish runs the end-of-stream pass of a tool implementing trace.Finisher,
+// unless the tool is disabled, and absorbs a panic there like one in an
+// event handler.
+func (s *Sequential) finish(ti *toolInst) {
+	f, ok := ti.sink.(trace.Finisher)
+	if !ok || ti.disabled {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			ti.absorb("Finish", r, s.met)
+		}
+	}()
+	f.Finish()
 }
 
 // Snapshot returns the deterministic merged report of everything analysed so
@@ -280,30 +311,30 @@ func (s *Sequential) Summaries() map[string]trace.ToolSummary {
 	}
 	out := make(map[string]trace.ToolSummary)
 	for _, ti := range s.insts {
-		if sum, ok := ti.sink.Unwrap().(trace.Summarizer); ok {
+		if sum, ok := ti.sink.(trace.Summarizer); ok {
 			out[ti.name] = sum.SummaryCounts()
 		}
 	}
 	return out
 }
 
-// Tool returns the live instance of the named registered tool, unwrapped
-// from its SafeSink; nil for an unknown name. Only valid after Close: until
-// then the instance has not seen the events still gathered in the batch.
+// Tool returns the live instance of the named registered tool; nil for an
+// unknown name. Only valid after Close: until then the instance has not seen
+// the events still gathered in the batch.
 func (s *Sequential) Tool(name string) trace.Sink {
 	for _, ti := range s.insts {
 		if ti.name == name {
-			return ti.sink.Unwrap()
+			return ti.sink
 		}
 	}
 	return nil
 }
 
 // ToolTimes returns the cumulative wall time spent inside each tool's event
-// handlers, keyed by tool name: two clock reads per tool and batch. Nil
-// unless Options.ToolTime was set; only valid after Close.
+// handlers, in nanoseconds keyed by tool name: two clock reads per tool and
+// batch. End-of-stream passes are not included. Nil before Close.
 func (s *Sequential) ToolTimes() map[string]int64 {
-	if !s.opt.ToolTime || !s.closed {
+	if !s.closed {
 		return nil
 	}
 	out := make(map[string]int64, len(s.insts))

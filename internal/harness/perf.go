@@ -64,12 +64,6 @@ type PerfWorkload struct {
 	// every measured run, which perturbs wall-clock numbers slightly — off
 	// by default so pure-latency trajectories stay comparable.
 	MeasureAllocs bool
-	// ToolTime additionally attributes wall time to each tool in the
-	// one-pass measurements (perfbench -tooltime), via engine
-	// Options.ToolTime. The bracketing clock reads inflate the total
-	// ns/event figure, so it is off by default; a run with ToolTime on is an
-	// attribution run, not a trajectory point.
-	ToolTime bool
 }
 
 // DefaultPerfWorkload returns a workload sized for a quick benchmark run.
@@ -303,9 +297,9 @@ type OnePassResult struct {
 	// measured run, present only with PerfWorkload.MeasureAllocs.
 	AllocsPerEvt float64 `json:"allocs_per_event,omitempty"`
 	BytesPerEvt  float64 `json:"bytes_per_event,omitempty"`
-	// ToolNs is the wall time spent inside each tool's handlers, present
-	// only with PerfWorkload.ToolTime. The residual against NsTotal is
-	// decode + dispatch.
+	// ToolNs is the wall time spent inside each tool's handlers
+	// (engine.Sequential.ToolTimes). The residual against NsTotal is decode,
+	// dispatch and the end-of-stream passes.
 	ToolNs map[string]int64 `json:"tool_ns,omitempty"`
 }
 
@@ -334,7 +328,7 @@ func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, specs []trace.ToolS
 		meter = startAllocMeter()
 	}
 	start := time.Now()
-	seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: v, ToolTime: w.ToolTime})
+	seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: v})
 	if err != nil {
 		return nil, err
 	}

@@ -25,9 +25,9 @@ package ingest
 //     the broadcast tools (the lock-order detector). Block-routed tools —
 //     lockset, djit, hybrid, memcheck, the paper's core detectors — are never
 //     shed.
-//   - Sampler (sampler, replaySampled): under Config.AdaptiveSampling, a
-//     session admitted under pressure decodes in ingest rather than through
-//     Sequential.ReplayLog, dropping a deterministic per-block fraction of
+//   - Sampler (sampler): under Config.AdaptiveSampling, a session admitted
+//     under pressure filters its pipeline's decoded batches
+//     (engine.Options.Keep), dropping a deterministic per-block fraction of
 //     memory-access events before dispatch. Only OpAccess is ever sampled:
 //     lock, allocation, sync, segment and thread events always pass, so the
 //     happens-before and lockset machinery stays sound and sampling can only
@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
@@ -121,24 +120,55 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, wait
 }
 
-// admit runs the admission path for one session connection: the rate gate
-// first (the cheap refusal, before any slot state is touched), then the slot
-// gate. A nil error means the caller holds a MaxSessions slot; waited
-// reports whether it had to park for one — direct evidence that demand
-// exceeded capacity at admission, which serveConn treats as a full-pressure
-// floor (the occupancy probe alone can miss it: by the time an ex-waiter
-// probes, its own waiter count is gone and a slot may already have freed).
-func (s *Server) admit() (waited bool, err error) {
+// admit is the first phase of a session: the rate gate (the cheap refusal,
+// before any slot state is touched), the slot gate, the pressure level, the
+// degradation ladder and the registry entry. A nil rejection means the
+// caller holds a MaxSessions slot and a registered session.
+func (s *Server) admit(name string) (*sessionRun, *rejectError) {
 	if s.bucket != nil {
 		if ok, retry := s.bucket.take(time.Now()); !ok {
-			return false, &rejectError{
+			return nil, &rejectError{
 				reason:     "rate",
 				msg:        fmt.Sprintf("admission rate %.3g/s exceeded", s.cfg.AdmitRate),
 				retryAfter: retry,
 			}
 		}
 	}
-	return s.acquireSlot()
+	waited, rej := s.acquireSlot()
+	if rej != nil {
+		return nil, rej
+	}
+
+	// The degradation ladder and the sampler both key off the pressure level
+	// observed now, at admission — the moment the slot was contended. A
+	// session that had to park for its slot saw demand exceed capacity
+	// first-hand: that is full pressure regardless of what the occupancy
+	// probe says a moment later (by the time an ex-waiter probes, its own
+	// waiter count is gone and a slot may already have freed). At zero
+	// pressure both mechanisms are inert and the session is analysed exactly
+	// as it would be with the features off.
+	run := &sessionRun{level: pressureNone, specs: s.cfg.Tools()}
+	if s.cfg.DegradationLadder || s.cfg.AdaptiveSampling {
+		if run.level = s.pressureLevel(); waited {
+			run.level = pressureFull
+		}
+	}
+	if s.cfg.DegradationLadder {
+		run.specs, run.shed = shedSpecs(run.specs, run.level)
+	}
+
+	run.sess = s.register(name)
+	if len(run.shed) > 0 {
+		run.sess.mu.Lock()
+		run.sess.shed = run.shed
+		run.sess.mu.Unlock()
+		if s.met != nil {
+			for _, tool := range run.shed {
+				s.met.shedTools.With(tool).Inc()
+			}
+		}
+	}
+	return run, nil
 }
 
 // acquireSlot takes a MaxSessions slot, queue-with-deadline. The wait is
@@ -146,8 +176,8 @@ func (s *Server) admit() (waited bool, err error) {
 // connection holding nothing — it gets no more patience than a stalled
 // stream), and is always interruptible by Shutdown; with neither timeout
 // configured the legacy delay-not-drop behaviour remains, minus the ability
-// to outlive the server.
-func (s *Server) acquireSlot() (waited bool, err error) {
+// to outlive the server. waited reports whether it had to park for the slot.
+func (s *Server) acquireSlot() (waited bool, rej *rejectError) {
 	waitStart := time.Now()
 	select {
 	case s.sem <- struct{}{}:
@@ -300,48 +330,26 @@ type sampler struct {
 	sinceOut int // events since the last pressure re-probe
 }
 
-// newSampler seeds the keep percentage from the pressure level serveConn
-// observed at admission (which includes the waited-for-slot floor — a live
-// probe here would miss it), then re-probes live pressure as the session
-// runs.
+// newSampler seeds the keep percentage from the pressure level admit
+// observed (which includes the waited-for-slot floor — a live probe here
+// would miss it), then re-probes live pressure as the session runs.
 func newSampler(initial int, level func() int) *sampler {
 	return &sampler{level: level, keepPct: keepPctFor(initial)}
 }
 
-// keep decides one event's fate and re-probes the pressure level every
-// samplerRecheck events, so a session that outlives the overload ramps back
-// to full coverage (and vice versa).
+// keep decides one event's fate, counting the drops, and re-probes the
+// pressure level every samplerRecheck events, so a session that outlives the
+// overload ramps back to full coverage (and vice versa). It is the session
+// pipeline's engine.Options.Keep, which calls it once per event in stream
+// order.
 func (sam *sampler) keep(ev *tracelog.Event) bool {
 	if sam.sinceOut++; sam.sinceOut >= samplerRecheck {
 		sam.sinceOut = 0
 		sam.keepPct = keepPctFor(sam.level())
 	}
-	if ev.Op != tracelog.OpAccess || sam.keepPct >= 100 {
+	if ev.Op != tracelog.OpAccess || sam.keepPct >= 100 || keepBlock(ev.Access.Block, sam.keepPct) {
 		return true
 	}
-	return keepBlock(ev.Access.Block, sam.keepPct)
-}
-
-// replaySampled is the sampling counterpart of Sequential.ReplayLog: ingest
-// owns the decode loop so the sampler can drop events before dispatch while
-// counting them exactly. It returns the number of events the stream carried
-// (sent = analysed + sam.dropped); the error contract matches ReplayLog.
-func replaySampled(pipe *engine.Sequential, r io.Reader, sam *sampler) (int64, error) {
-	dec := tracelog.AcquireDecoder(r)
-	defer dec.Release()
-	var ev tracelog.Event
-	for {
-		err := dec.Next(&ev)
-		if err == io.EOF {
-			return dec.Events(), nil
-		}
-		if err != nil {
-			return dec.Events(), err
-		}
-		if sam.keep(&ev) {
-			ev.Deliver(pipe)
-		} else {
-			sam.dropped++
-		}
-	}
+	sam.dropped++
+	return false
 }

@@ -736,49 +736,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	// backpressure described in the package comment. The wait is bounded
 	// (admission.go): past the rate gate or the slot deadline the client is
 	// answered with a typed busy frame instead of parking forever.
-	waited, err := s.admit()
-	if err != nil {
-		var rej *rejectError
-		if errors.As(err, &rej) {
-			s.reject(conn, fw, rej)
-		} else {
-			fw.Error(fmt.Sprintf("admission: %v", err))
-		}
+	run, rej := s.admit(meta)
+	if rej != nil {
+		s.reject(conn, fw, rej)
 		return
 	}
 	defer func() { <-s.sem }()
-
-	// The degradation ladder and the sampler both key off the pressure
-	// level observed now, at admission — the moment the slot was contended.
-	// A session that had to park for its slot saw demand exceed capacity
-	// first-hand: that is full pressure regardless of what the occupancy
-	// probe says a moment later. At zero pressure both mechanisms are inert
-	// and the session is analysed exactly as it would be with the features
-	// off.
-	level := pressureNone
-	if s.cfg.DegradationLadder || s.cfg.AdaptiveSampling {
-		if level = s.pressureLevel(); waited {
-			level = pressureFull
-		}
-	}
-	specs := s.cfg.Tools()
-	var shed []string
-	if s.cfg.DegradationLadder {
-		specs, shed = shedSpecs(specs, level)
-	}
-
-	sess := s.register(meta)
-	if len(shed) > 0 {
-		sess.mu.Lock()
-		sess.shed = shed
-		sess.mu.Unlock()
-		if s.met != nil {
-			for _, tool := range shed {
-				s.met.shedTools.With(tool).Inc()
-			}
-		}
-	}
-	sess.setState(StateStreaming)
 	// Whatever way the session ends, give the retention policy a chance to
 	// fold and evict the oldest terminal sessions. LIFO defers: the done
 	// mark lands first, so this handler's own session is foldable — while a
@@ -786,8 +749,62 @@ func (s *Server) serveConn(conn net.Conn) {
 	// reported before the write, and downgraded to failed if the write
 	// fails) stays unfoldable until its state is final.
 	defer s.retire()
-	defer sess.markDone()
+	defer run.sess.markDone()
 
+	serr := s.stream(run, fr)
+	if serr == nil {
+		serr = s.finish(run, fw, assigned)
+	}
+	if serr != nil {
+		run.sess.fail(serr.err)
+		fw.Error(serr.Error())
+	}
+}
+
+// sessionRun is one admitted session on its way through the stream and
+// finish phases.
+type sessionRun struct {
+	sess   *Session
+	level  int              // pressure level observed at admission
+	specs  []trace.ToolSpec // the registry, after the degradation ladder
+	shed   []string         // tools the ladder removed
+	sam    *sampler         // nil unless Config.AdaptiveSampling
+	pipe   *engine.Sequential
+	events int64 // events analysed
+}
+
+// sampledOut is the exact number of events the sampler has dropped so far.
+func (r *sessionRun) sampledOut() int64 {
+	if r.sam == nil {
+		return 0
+	}
+	return r.sam.dropped
+}
+
+// sessionError is a session's terminal failure: the phase it ended in and
+// its cause. Its text is the error frame the client receives; the session
+// records the bare cause.
+type sessionError struct {
+	phase string // "pipeline", "stream", "analysis" or "report"
+	err   error
+}
+
+func (e *sessionError) Error() string { return e.phase + ": " + e.err.Error() }
+
+// stream is the second phase of a session: it builds the pipeline, arms the
+// sampler and the snapshot trigger, and analyses the stream to its end.
+func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError {
+	sess := run.sess
+	sess.setState(StateStreaming)
+	// The sampler filters the pipeline's batches before any tool sees them
+	// and counts what it drops. It and the snapshot trigger both run on the
+	// decode goroutine, so incremental reports read the dropped-so-far count
+	// without synchronisation.
+	var keep func(*tracelog.Event) bool
+	if s.cfg.AdaptiveSampling {
+		run.sam = newSampler(run.level, s.pressureLevel)
+		keep = run.sam.keep
+	}
 	// The frame reader's table resolver starts empty and fills in as the
 	// stream's metadata frames arrive; every report this session renders —
 	// incremental and final — resolves against it, exactly like an offline
@@ -797,30 +814,22 @@ func (s *Server) serveConn(conn net.Conn) {
 		em = s.met.engine
 	}
 	pipe, err := engine.NewSequential(engine.Options{
-		Tools:    specs,
+		Tools:    run.specs,
 		Resolver: fr.Tables(),
 		Metrics:  em,
+		Keep:     keep,
 	})
 	if err != nil {
-		sess.fail(err)
-		fw.Error(fmt.Sprintf("pipeline: %v", err))
-		return
+		return &sessionError{"pipeline", err}
 	}
+	run.pipe = pipe
 
 	// Incremental reporting: a ticker arms a flag, and the next stream read
 	// on the decode goroutine takes the snapshot — the pipeline's Snapshot
 	// contract requires the dispatching goroutine, and between reads no
 	// event delivery is in flight. An idle stream takes no snapshot, but an
 	// idle stream's report cannot have changed either.
-	// The sampler exists before the snapshot trigger wraps the stream so
-	// incremental reports can carry the dropped-so-far count; both the
-	// trigger callback and the sampler run on the decode goroutine, so the
-	// counter needs no synchronisation.
-	var sam *sampler
-	if s.cfg.AdaptiveSampling {
-		sam = newSampler(level, s.pressureLevel)
-	}
-	var stream io.Reader = fr
+	var src io.Reader = fr
 	if s.cfg.ReportInterval > 0 {
 		// deferredRun tracks consecutive ticks skipped by the
 		// pressure-adaptive cadence; it lives on the decode goroutine (the
@@ -847,13 +856,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				return
 			}
-			var droppedSoFar int64
-			if sam != nil {
-				droppedSoFar = sam.dropped
-			}
 			sess.addSnapshot(Snapshot{
 				Events:   pipe.Events(),
-				Report:   degradedHeader(droppedSoFar, shed) + col.Format(),
+				Report:   degradedHeader(run.sampledOut(), run.shed) + col.Format(),
 				Manifest: col.Manifest(),
 			})
 			if s.met != nil {
@@ -861,31 +866,22 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		})
 		defer stop()
-		stream = trig
+		src = trig
 	}
 
-	var events int64
-	if sam != nil {
-		// Sampled replay: ingest owns the decode loop, dropping events
-		// before dispatch; events counts what was analysed, the remainder is
-		// the exact sampled-out tally.
-		var sent int64
-		sent, err = replaySampled(pipe, stream, sam)
-		events = sent - sam.dropped
-	} else {
-		events, err = pipe.ReplayLog(stream)
-	}
+	// ReplayLog returns what the stream carried; the sampler's drops are the
+	// exact remainder beyond what was analysed.
+	sent, err := pipe.ReplayLog(src)
+	run.events = sent - run.sampledOut()
 	sess.mu.Lock()
-	sess.events = events
-	if sam != nil {
-		sess.sampledOut = sam.dropped
-	}
+	sess.events = run.events
+	sess.sampledOut = run.sampledOut()
 	degraded := sess.sampledOut > 0 || len(sess.shed) > 0
 	sess.mu.Unlock()
 	if s.met != nil {
-		s.met.eventsTotal.Add(events)
-		if sam != nil && sam.dropped > 0 {
-			s.met.sampledOut.Add(sam.dropped)
+		s.met.eventsTotal.Add(run.events)
+		if n := run.sampledOut(); n > 0 {
+			s.met.sampledOut.Add(n)
 		}
 		if degraded {
 			s.met.degradedSessions.Inc()
@@ -899,29 +895,28 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.met.idleKills.Inc()
 			}
 		}
-		sess.fail(err)
-		fw.Error(fmt.Sprintf("stream: %v", err))
-		return
+		return &sessionError{"stream", err}
 	}
+	return nil
+}
 
+// finish is the last phase of a session: it closes the pipeline, renders
+// the report and writes it — as a BackendResult frame for an assign-opened
+// session, as a report frame otherwise.
+func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool) *sessionError {
+	sess := run.sess
 	sess.setState(StateDrained)
-	col, cerr := pipe.Close()
-	if cerr != nil {
-		sess.fail(cerr)
-		fw.Error(fmt.Sprintf("analysis: %v", cerr))
-		return
+	col, err := run.pipe.Close()
+	if err != nil {
+		return &sessionError{"analysis", err}
 	}
 	// Mark reported before the response write: the moment the client has
 	// its report in hand, a follow-up aggregate query must already account
 	// for this session (write-then-mark would race that query). A failed
 	// delivery downgrades the session to failed afterwards. A degraded
 	// session's report says so up front — exact counts, never silently.
-	var sampledOut int64
-	if sam != nil {
-		sampledOut = sam.dropped
-	}
-	text := degradedHeader(sampledOut, shed) + col.Format()
-	sums := pipe.Summaries()
+	text := degradedHeader(run.sampledOut(), run.shed) + col.Format()
+	sums := run.pipe.Summaries()
 	sess.mu.Lock()
 	sess.transitionLocked(StateReported)
 	sess.col = col
@@ -933,25 +928,24 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.met.warnings.With(tool).Add(int64(n))
 		}
 	}
-	var werr error
 	if assigned {
 		// The router gets the structured result: the rendered text it relays
 		// to the client, plus the portable collector and summaries it folds
 		// into the fleet aggregate.
 		res := &BackendResult{
-			Name: sess.Name, Events: events, SampledOut: sampledOut,
-			Shed: shed, Report: text, Sums: sums, Col: col,
+			Name: sess.Name, Events: run.events, SampledOut: run.sampledOut(),
+			Shed: run.shed, Report: text, Sums: sums, Col: col,
 		}
-		werr = fw.BackendReport(res.encode(nil))
+		err = fw.BackendReport(res.encode(nil))
 	} else {
-		werr = fw.Report(text)
+		err = fw.Report(text)
 	}
-	if werr != nil {
-		sess.fail(werr)
+	if err != nil {
 		// Best effort: an oversized report is refused before any bytes hit
 		// the wire, so the client can still be told why.
-		fw.Error(fmt.Sprintf("report: %v", werr))
+		return &sessionError{"report", err}
 	}
+	return nil
 }
 
 // serveBackendStats answers a census request (backend mode only).
