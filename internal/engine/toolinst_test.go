@@ -38,11 +38,130 @@ func withTool(spec trace.ToolSpec) []trace.ToolSpec {
 	return tools
 }
 
+// bombSink counts the Access and Alloc events it is handed and panics on
+// every Access after the first armAt. Its Finish pass only counts.
+type bombSink struct {
+	trace.BaseSink
+	armAt            int
+	accesses, allocs int
+	finished         int
+}
+
+func (b *bombSink) ToolName() string { return "bomb" }
+
+func (b *bombSink) Access(*trace.Access) {
+	b.accesses++
+	if b.accesses > b.armAt {
+		panic("tool bug")
+	}
+}
+
+func (b *bombSink) Alloc(*trace.Block) { b.allocs++ }
+
+func (b *bombSink) Finish() { b.finished++ }
+
+// TestSequentialIsolatesPanic: the first panic in an event callback disables
+// the tool for good. Later events — including ones that would panic again —
+// never reach it, its Finish pass does not run, the first error sticks and
+// names the tool and the callback, the panic counter moves once, and the
+// other tools' report is byte-identical to a run without it.
+func TestSequentialIsolatesPanic(t *testing.T) {
+	log, v := recordSIP(t)
+	events := decodeEvents(t, log)
+	const armAt = 100
+	// The allocations the tool sees: those before the access that panics.
+	wantAllocs, accesses, laterAccesses := 0, 0, 0
+	for i := range events {
+		switch events[i].Op {
+		case tracelog.OpAccess:
+			accesses++
+			if accesses > armAt+1 {
+				laterAccesses++
+			}
+		case tracelog.OpAlloc:
+			if accesses <= armAt {
+				wantAllocs++
+			}
+		}
+	}
+	if laterAccesses == 0 {
+		t.Fatalf("workload has %d accesses, need more than %d", accesses, armAt+1)
+	}
+	for _, replay := range []bool{false, true} {
+		_, want, err := runSequential(t, engine.Options{Tools: scenario.AllTools(), Resolver: v}, events, replay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		met := engine.NewMetrics(obs.NewRegistry())
+		tools := withTool(trace.ToolSpec{
+			Name: "bomb", Routing: trace.RouteSingle,
+			Factory: func(trace.Reporter) trace.Sink { return &bombSink{armAt: armAt} },
+		})
+		seq, got, err := runSequential(t, engine.Options{Tools: tools, Resolver: v, Metrics: met}, events, replay)
+		const wantErr = `trace: sink "bomb" panicked in Access: tool bug`
+		if err == nil || err.Error() != wantErr {
+			t.Errorf("replay=%v: Close error %v, want %q", replay, err, wantErr)
+		}
+		if got != want {
+			t.Errorf("replay=%v: the other tools' report changed:\n--- with the panicking tool ---\n%s--- without ---\n%s", replay, got, want)
+		}
+		bomb := seq.Tool("bomb").(*bombSink)
+		if bomb.accesses != armAt+1 || bomb.allocs != wantAllocs {
+			t.Errorf("replay=%v: the tool was handed %d accesses and %d allocs, want %d and %d — none after the panic",
+				replay, bomb.accesses, bomb.allocs, armAt+1, wantAllocs)
+		}
+		if bomb.finished != 0 {
+			t.Errorf("replay=%v: Finish ran %d times on a disabled tool, want 0", replay, bomb.finished)
+		}
+		if n := met.ToolPanics.Value(); n != 1 {
+			t.Errorf("replay=%v: tool_panics = %d, want 1", replay, n)
+		}
+	}
+}
+
+// TestSequentialFinishForwards: Close runs the end-of-stream pass of a
+// Finisher that does not panic exactly once, a second Close does not run it
+// again, and a tool without a Finish method closes without error.
+func TestSequentialFinishForwards(t *testing.T) {
+	log, v := recordSIP(t)
+	events := decodeEvents(t, log)
+	_, want, err := runSequential(t, engine.Options{Tools: scenario.AllTools(), Resolver: v}, events, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := engine.NewMetrics(obs.NewRegistry())
+	tools := append(withTool(trace.ToolSpec{
+		Name: "finishing", Routing: trace.RouteSingle,
+		Factory: func(trace.Reporter) trace.Sink { return &finishingSink{} },
+	}), trace.ToolSpec{
+		Name: "plain", Routing: trace.RouteSingle,
+		Factory: func(trace.Reporter) trace.Sink { return trace.BaseSink{} },
+	})
+	seq, got, err := runSequential(t, engine.Options{Tools: tools, Resolver: v, Metrics: met}, events, true)
+	if err != nil {
+		t.Errorf("Close error %v, want none", err)
+	}
+	if got != want {
+		t.Errorf("the other tools' report changed:\n--- with the finishing tool ---\n%s--- without ---\n%s", got, want)
+	}
+	if n := seq.Tool("finishing").(*finishingSink).finished; n != 1 {
+		t.Errorf("Finish ran %d times, want 1", n)
+	}
+	if _, err := seq.Close(); err != nil {
+		t.Errorf("second Close error %v, want none", err)
+	}
+	if n := seq.Tool("finishing").(*finishingSink).finished; n != 1 {
+		t.Errorf("Finish ran %d times after a second Close, want 1", n)
+	}
+	if n := met.ToolPanics.Value(); n != 0 {
+		t.Errorf("tool_panics = %d, want 0", n)
+	}
+}
+
 // TestSequentialFinishPanicIsolated: a tool whose end-of-stream pass panics
 // leaves the other tools' report byte-identical to a run without it — their
 // own Finish passes included — Close names the tool and Finish, the panic
-// counter moves once, and a second Close runs no Finish again. A Finisher
-// that does not panic has its pass run exactly once.
+// counter moves once, and a second Close runs no Finish again.
 func TestSequentialFinishPanicIsolated(t *testing.T) {
 	log, v := recordSIP(t)
 	events := decodeEvents(t, log)
@@ -50,34 +169,25 @@ func TestSequentialFinishPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, explode := range []bool{false, true} {
-		met := engine.NewMetrics(obs.NewRegistry())
-		tools := withTool(trace.ToolSpec{
-			Name: "finishing", Routing: trace.RouteSingle,
-			Factory: func(trace.Reporter) trace.Sink { return &finishingSink{explode: explode} },
-		})
-		seq, got, err := runSequential(t, engine.Options{Tools: tools, Resolver: v, Metrics: met}, events, true)
-		if got != want {
-			t.Errorf("explode=%v: the other tools' report changed:\n--- with the finishing tool ---\n%s--- without ---\n%s", explode, got, want)
-		}
-		wantErr, wantPanics := "", int64(0)
-		if explode {
-			wantErr, wantPanics = `trace: sink "finishing" panicked in Finish: finish bug`, 1
-		}
-		gotErr := ""
-		if err != nil {
-			gotErr = err.Error()
-		}
-		if gotErr != wantErr {
-			t.Errorf("explode=%v: Close error %q, want %q", explode, gotErr, wantErr)
-		}
-		if n := met.ToolPanics.Value(); n != wantPanics {
-			t.Errorf("explode=%v: tool_panics = %d, want %d", explode, n, wantPanics)
-		}
-		seq.Close()
-		if n := seq.Tool("finishing").(*finishingSink).finished; n != 1 {
-			t.Errorf("explode=%v: Finish ran %d times, want 1", explode, n)
-		}
+	met := engine.NewMetrics(obs.NewRegistry())
+	tools := withTool(trace.ToolSpec{
+		Name: "finishing", Routing: trace.RouteSingle,
+		Factory: func(trace.Reporter) trace.Sink { return &finishingSink{explode: true} },
+	})
+	seq, got, err := runSequential(t, engine.Options{Tools: tools, Resolver: v, Metrics: met}, events, true)
+	if got != want {
+		t.Errorf("the other tools' report changed:\n--- with the finishing tool ---\n%s--- without ---\n%s", got, want)
+	}
+	const wantErr = `trace: sink "finishing" panicked in Finish: finish bug`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("Close error %v, want %q", err, wantErr)
+	}
+	if n := met.ToolPanics.Value(); n != 1 {
+		t.Errorf("tool_panics = %d, want 1", n)
+	}
+	seq.Close()
+	if n := seq.Tool("finishing").(*finishingSink).finished; n != 1 {
+		t.Errorf("Finish ran %d times, want 1", n)
 	}
 }
 
