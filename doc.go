@@ -24,8 +24,8 @@
 // configurations side by side, plus the lock-order deadlock detector,
 // memcheck and the view-consistency checker. Each detector package exports a
 // Spec constructor declaring its name and routing class;
-// core.Options.Tools (or the -tools flag of racecheck, tracereplay and
-// perfbench) selects the registry for a run.
+// core.Options.Tools (or the -tools flag of racecheck, tracereplay, traced
+// and traceload) selects the registry for a run.
 //
 // Every tool instance is panic-isolated and writes to its own
 // report.Collector, whose sites are stamped with the global sequence number
@@ -176,9 +176,8 @@
 // (with -verify pinning live == offline byte-identity against a real
 // server, and pinning every server-side incremental snapshot as a
 // prefix-consistent subset of the final report), optionally open-loop at a
-// target events/sec with a queueing-delay summary (-rate); perfbench
-// -ingest measures aggregate ingest throughput at 1/8/64 concurrent
-// sessions. With -cooperative, traceload's sessions share one
+// target events/sec with a queueing-delay summary (-rate). With
+// -cooperative, traceload's sessions share one
 // ingest.Backoff governor: busy rejections grow a common redial delay
 // (seeded by the server's retry-after hint) and pace in-flight chunk
 // writes, and successes decay it back to zero — a well-behaved client for
@@ -259,10 +258,10 @@
 // not once per event. The whole layout change is pinned byte-exact by
 // TestGoldenReportDigests against report digests committed before it.
 // TestZeroAlloc* budget tests pin the allocation claims, including the
-// lock-set detector's ≤ 0.01 allocs/event over the §4.5 workload;
-// BENCH_<date>.json files at the repo root record the ns/event and
-// allocs/event trajectory (harness.BenchDoc, regenerated by perfbench -json
-// -alloc). See the README's "Performance" section for the full architecture.
+// lock-set detector's ≤ 0.01 allocs/event over the §4.5 workload; time is
+// measured end to end against a real traced by bench/run.sh, with the
+// metrics and bounds declared in BENCHMARK.json. See the README's
+// "Performance" section for the full architecture.
 //
 // See README.md for the architecture overview. The public entry point is
 // internal/core; the benchmarks in bench_test.go regenerate every table and

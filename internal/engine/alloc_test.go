@@ -77,11 +77,11 @@ func TestZeroAllocDetectorPath(t *testing.T) {
 		tools  func() []trace.ToolSpec
 		budget float64
 	}{
-		// The perfbench workload, scaled down: a few thousand events is
+		// The §4.5 workload, scaled down: a few thousand events is
 		// enough to amortise the fixed pipeline/detector construction the
 		// budget includes, where the ~100-event conformance scenarios are not.
 		{"all-tools", harness.PerfWorkload{Threads: 2, Iters: 200, Slots: 16, Blocks: 16, Seed: 1}, scenario.AllTools, 1.0},
-		// The §4.5 workload at perfbench's replay settings.
+		// The §4.5 workload at full size, one block per table slot.
 		{"lockset-4.5", harness.PerfWorkload{Threads: 4, Iters: 2000, Slots: 64, Blocks: 64, Seed: 1},
 			func() []trace.ToolSpec { return []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLCDR())} }, 0.01},
 	} {

@@ -31,40 +31,60 @@ func allToolSpecs(cfg lockset.Config) []trace.ToolSpec {
 	}
 }
 
+// paperConfigSpecs registers the three Fig. 6 lock-set configurations side
+// by side, each under its column name, so one pass evaluates every column.
+func paperConfigSpecs() []trace.ToolSpec {
+	cfgs := paperConfigs()
+	var specs []trace.ToolSpec
+	for _, name := range []string{"Original", "HWLC", "HWLC+DR"} {
+		cfg := cfgs[name]
+		cfg.Tool = name
+		specs = append(specs, lockset.Spec(cfg))
+	}
+	return specs
+}
+
 // TestEngineMultiToolMatchesSequential is the registry determinism contract:
 // for a fixed recorded trace, one pass running ALL tools produces output
 // byte-identical to running each tool alone over the same trace and merging
 // the reports — same warnings, same order, same counts — under all three
-// paper configurations. Tools share nothing, and one pass stamps every site
-// with the sequence number a one-tool pass would.
+// paper configurations, and for the three configurations registered side by
+// side. Tools share nothing, and one pass stamps every site with the
+// sequence number a one-tool pass would.
 func TestEngineMultiToolMatchesSequential(t *testing.T) {
 	log, v := recordSIP(t)
+	registries := map[string][]trace.ToolSpec{"paper-configs": paperConfigSpecs()}
 	for name, cfg := range paperConfigs() {
-		all, events := replayOne(t, log, engine.Options{Tools: allToolSpecs(cfg), Resolver: v})
-		toolsSeen := map[string]bool{}
-		for _, w := range all.Sites() {
-			toolsSeen[w.Tool] = true
-		}
-		if len(toolsSeen) < 3 {
-			t.Fatalf("%s: only %d tool(s) warned (%v); multi-tool test workload is too tame",
-				name, len(toolsSeen), toolsSeen)
-		}
-		var alone []*report.Collector
-		for _, spec := range allToolSpecs(cfg) {
-			col, n := replayOne(t, log, engine.Options{Tools: []trace.ToolSpec{spec}, Resolver: v})
-			if n != events {
-				t.Errorf("%s/%s: dispatched %d events, the one-pass run %d", name, spec.Name, n, events)
+		registries[name] = allToolSpecs(cfg)
+	}
+	for name, specs := range registries {
+		t.Run(name, func(t *testing.T) {
+			all, events := replayOne(t, log, engine.Options{Tools: specs, Resolver: v})
+			toolsSeen := map[string]bool{}
+			for _, w := range all.Sites() {
+				toolsSeen[w.Tool] = true
 			}
-			alone = append(alone, col)
-		}
-		merged := report.Merge(v, nil, alone...)
-		if got, want := all.Format(), merged.Format(); got != want {
-			t.Errorf("%s: one-pass output differs from the merged one-tool runs\n--- one tool at a time ---\n%s\n--- one pass ---\n%s",
-				name, want, got)
-		}
-		if all.Occurrences() != merged.Occurrences() {
-			t.Errorf("%s: occurrences = %d, one tool at a time = %d", name, all.Occurrences(), merged.Occurrences())
-		}
+			if len(toolsSeen) < 3 {
+				t.Fatalf("only %d tool(s) warned (%v); multi-tool test workload is too tame",
+					len(toolsSeen), toolsSeen)
+			}
+			var alone []*report.Collector
+			for _, spec := range specs {
+				col, n := replayOne(t, log, engine.Options{Tools: []trace.ToolSpec{spec}, Resolver: v})
+				if n != events {
+					t.Errorf("%s: dispatched %d events, the one-pass run %d", spec.Name, n, events)
+				}
+				alone = append(alone, col)
+			}
+			merged := report.Merge(v, nil, alone...)
+			if got, want := all.Format(), merged.Format(); got != want {
+				t.Errorf("one-pass output differs from the merged one-tool runs\n--- one tool at a time ---\n%s\n--- one pass ---\n%s",
+					want, got)
+			}
+			if all.Occurrences() != merged.Occurrences() {
+				t.Errorf("occurrences = %d, one tool at a time = %d", all.Occurrences(), merged.Occurrences())
+			}
+		})
 	}
 }
 

@@ -381,40 +381,3 @@ func TestFigure5MatchesFigure6Original(t *testing.T) {
 		}
 	}
 }
-
-// TestOnePassReplayMatchesPerConfig: the one-decode comparative mode must
-// report, per paper configuration, exactly the location counts the classic
-// one-config-per-replay benchmark reports.
-func TestOnePassReplayMatchesPerConfig(t *testing.T) {
-	w := PerfWorkload{Threads: 2, Iters: 100, Slots: 16, Seed: 1, Blocks: 16, Racy: true}
-	perConfig, err := w.ReplayBench()
-	if err != nil {
-		t.Fatalf("ReplayBench: %v", err)
-	}
-	want := map[string]int{}
-	for _, r := range perConfig {
-		want[r.Config] = r.Locations
-	}
-	onePass, err := w.OnePassReplay(PaperConfigSpecs())
-	if err != nil {
-		t.Fatalf("OnePassReplay: %v", err)
-	}
-	reported := 0
-	for _, n := range want {
-		reported += n
-	}
-	if reported == 0 {
-		t.Fatal("racy workload reported nothing; the cross-check is vacuous")
-	}
-	for _, op := range onePass {
-		for cfg, locs := range want {
-			if op.Locations[cfg] != locs {
-				t.Errorf("%s: config %s = %d locations in one pass, %d per-config",
-					op.Mode, cfg, op.Locations[cfg], locs)
-			}
-		}
-	}
-	if onePass[0].Events == 0 || onePass[0].Events != perConfig[0].Events {
-		t.Errorf("event counts inconsistent: %d vs %d", onePass[0].Events, perConfig[0].Events)
-	}
-}

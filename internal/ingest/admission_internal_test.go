@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
-	"repro/internal/vm"
 )
 
 // TestPressureLevel pins the occupancy thresholds and the waiter override.
@@ -315,52 +315,6 @@ func runSampled(t *testing.T, log []byte, res trace.Resolver, level func() int, 
 	return out
 }
 
-// perfTrace records the §4.5 workload the way harness.PerfWorkload{Threads:
-// 4, Iters: 500, Slots: 64, Blocks: 64, Seed: 1}.RecordTrace does: worker
-// threads updating a table of one block per slot, and a shared counter,
-// under one mutex. (The harness imports this package, so this package's
-// internal tests cannot import it.)
-func perfTrace(t *testing.T) ([]byte, *vm.VM) {
-	t.Helper()
-	const threads, iters, slots = 4, 500, 64
-	var buf bytes.Buffer
-	rec := tracelog.NewRecorder(&buf)
-	v := vm.New(vm.Options{Seed: 1, Quantum: 10})
-	v.AddTool(rec)
-	err := v.Run(func(main *vm.Thread) {
-		mu := v.NewMutex("table")
-		table := make([]*vm.Block, slots)
-		for i := range table {
-			table[i] = main.Alloc(8, fmt.Sprintf("perf-table-%d", i))
-		}
-		counter := main.Alloc(8, "perf-counter")
-		workers := make([]*vm.Thread, threads)
-		for th := range workers {
-			workers[th] = main.Go(fmt.Sprintf("w%d", th), func(t *vm.Thread) {
-				local := uint64(th)
-				for i := 0; i < iters; i++ {
-					mu.Lock(t)
-					b := table[(th*iters+i)%slots]
-					b.Store64(t, 0, b.Load64(t, 0)+local)
-					counter.Store64(t, 0, counter.Load64(t, 0)+1)
-					mu.Unlock(t)
-					local = local*1664525 + 1013904223
-				}
-			})
-		}
-		for _, w := range workers {
-			main.Join(w)
-		}
-	})
-	if err == nil {
-		err = rec.Flush()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), v
-}
-
 // TestSamplerDifferential: a sampled session filtering its pipeline's
 // batches (Keep + ReplayLog, and Keep on the Sink-method path) agrees with
 // the per-event decode loop it replaced on the report, the dropped count,
@@ -381,7 +335,10 @@ func TestSamplerDifferential(t *testing.T) {
 		}
 		inputs = append(inputs, input{fmt.Sprintf("scenario-%d", seed), log, v})
 	}
-	log, v := perfTrace(t)
+	v, log, err := harness.PerfWorkload{Threads: 4, Iters: 500, Slots: 64, Blocks: 64, Seed: 1}.RecordTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	inputs = append(inputs, input{"perf-4.5", log, v})
 
 	constant := func(level int) func() func() int {
