@@ -255,7 +255,10 @@
 // hybrid take FastTrack-style same-epoch fast paths on repeated accesses
 // (skipping state stores, never race checks), and lockset.SetTable memoises
 // lock-set transitions so the canonical-set probe runs once per new edge,
-// not once per event. The whole layout change is pinned byte-exact by
+// not once per event. Each mechanism has one home: vclock.HB is the
+// happens-before core DJIT and the hybrid share, trace.Shadow the block
+// shadow of all three race detectors, and lockset.Held the held lock-sets
+// lockset and the hybrid share. The whole layout change is pinned byte-exact by
 // TestGoldenReportDigests against report digests committed before it.
 // TestZeroAlloc* budget tests pin the allocation claims, including the
 // lock-set detector's ≤ 0.01 allocs/event over the §4.5 workload; time is

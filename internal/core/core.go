@@ -49,10 +49,6 @@ type Options struct {
 	// the zero value — see lockset.Config.IsZero) defaults to the paper's
 	// strongest configuration, HWLC+DR.
 	Lockset lockset.Config
-	// DJIT configures the happens-before detector ParseTools builds.
-	DJIT vectorclock.Config
-	// Hybrid configures the hybrid detector ParseTools builds.
-	Hybrid hybrid.Config
 	// Suppressions holds suppression rules in the Valgrind-like format
 	// accepted by internal/suppress.
 	Suppressions string
@@ -83,17 +79,6 @@ func (opt Options) locksetSpec() trace.ToolSpec {
 	return lockset.Spec(cfg)
 }
 
-// djitSpec resolves the happens-before configuration: only the explicit zero
-// value (vectorclock.Config.IsZero) defaults to standard DJIT; any partially
-// set config is taken as intentional and passed through verbatim.
-func (opt Options) djitSpec() trace.ToolSpec {
-	cfg := opt.DJIT
-	if cfg.IsZero() {
-		cfg = vectorclock.DefaultConfig()
-	}
-	return vectorclock.Spec(cfg)
-}
-
 // toolSpecs resolves Options into the effective registry: Tools verbatim
 // when set, otherwise the lock-set detector alone.
 func (opt Options) toolSpecs() []trace.ToolSpec {
@@ -108,8 +93,8 @@ var ToolNames = []string{"lockset", "djit", "hybrid", "deadlock", "memcheck", "h
 
 // ParseTools converts a comma-separated tool list — e.g.
 // "lockset,djit,deadlock", or "all" for every known tool — into registry
-// specs, using the receiver's per-tool configurations (Lockset, DJIT,
-// Hybrid) for the detectors that have one. The result is suitable for
+// specs: the lock-set detector as the receiver's Lockset configures it, every
+// other tool in its standard configuration. The result is suitable for
 // Options.Tools or engine.Options.Tools.
 func (opt Options) ParseTools(list string) ([]trace.ToolSpec, error) {
 	var specs []trace.ToolSpec
@@ -127,9 +112,9 @@ func (opt Options) ParseTools(list string) ([]trace.ToolSpec, error) {
 		case "lockset":
 			specs = append(specs, opt.locksetSpec())
 		case "djit":
-			specs = append(specs, opt.djitSpec())
+			specs = append(specs, vectorclock.Spec(vectorclock.DefaultConfig()))
 		case "hybrid":
-			specs = append(specs, hybrid.Spec(opt.Hybrid))
+			specs = append(specs, hybrid.Spec(hybrid.Config{}))
 		case "deadlock":
 			specs = append(specs, deadlock.Spec(deadlock.Config{}))
 		case "memcheck":

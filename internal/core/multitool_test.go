@@ -9,7 +9,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/lockset"
 	"repro/internal/memcheck"
-	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vectorclock"
 	"repro/internal/vm"
@@ -158,32 +157,6 @@ func TestRunLocksetDefaultingIsExplicit(t *testing.T) {
 	}
 	if got := res.LocksetDetector.Config(); got.Bus != lockset.BusNone || got.Tool != "bare" {
 		t.Errorf("named minimal config was clobbered to %+v", got)
-	}
-}
-
-// TestRunDJITDefaultingIsExplicit mirrors the lockset regression test for the
-// happens-before detector: only the exact zero vectorclock.Config defaults to
-// standard DJIT. A partial config — LockEdges off, a custom granule — is
-// intentional and must not be clobbered to DefaultConfig.
-func TestRunDJITDefaultingIsExplicit(t *testing.T) {
-	djitOf := func(opt Options) vectorclock.Config {
-		spec := withTools(t, opt, "djit").Tools[0]
-		det, ok := spec.Factory(report.NewCollector(nil, nil)).(*vectorclock.Detector)
-		if !ok {
-			t.Fatalf("djit spec factory built a %T, want *vectorclock.Detector", det)
-		}
-		return det.Config()
-	}
-	if got := djitOf(Options{}); !got.LockEdges || !got.FirstRaceOnly {
-		t.Errorf("zero config must default to standard DJIT, got %+v", got)
-	}
-	// Granule set, Tool empty, LockEdges false: previously clobbered to
-	// DefaultConfig because Tool=="" && !LockEdges matched.
-	if got := djitOf(Options{DJIT: vectorclock.Config{Granule: 8}}); got.LockEdges || got.FirstRaceOnly || got.Granule != 8 {
-		t.Errorf("explicit lock-edge-free config was clobbered to %+v", got)
-	}
-	if got := djitOf(Options{DJIT: vectorclock.Config{Edges: trace.MaskHelgrind}}); got.LockEdges || got.Edges != trace.MaskHelgrind {
-		t.Errorf("explicit edge-mask config was clobbered to %+v", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/lockset"
-	"repro/internal/vectorclock"
 	"repro/internal/vm"
 )
 
@@ -71,8 +70,9 @@ func TestParseToolsDuplicate(t *testing.T) {
 	}
 }
 
-// TestToolSpecsConfigDefaulting: only the zero-value detector configs are
-// upgraded to the canonical defaults; explicit partial configs pass through.
+// TestToolSpecsConfigDefaulting: only the zero-value lock-set config is
+// upgraded to the canonical default; an explicit partial config passes
+// through.
 func TestToolSpecsConfigDefaulting(t *testing.T) {
 	// Zero lockset config → paper's strongest (HWLC+DR: rwlock bus, destruct).
 	spec := Options{}.locksetSpec()
@@ -83,10 +83,5 @@ func TestToolSpecsConfigDefaulting(t *testing.T) {
 	partial := Options{Lockset: lockset.Config{Tool: "bare"}}.locksetSpec()
 	if partial.Name != "bare" {
 		t.Errorf("explicit lockset config clobbered: name %q", partial.Name)
-	}
-	// Same contract for DJIT.
-	dj := Options{DJIT: vectorclock.Config{Tool: "dj2"}}.djitSpec()
-	if dj.Name != "dj2" {
-		t.Errorf("explicit djit config clobbered: name %q", dj.Name)
 	}
 }

@@ -10,6 +10,13 @@
 // more schedule robustness than pure happens-before: an ordered-but-
 // unlocked pair is remembered as "suspicious" by its lock-set and still
 // reported if any later schedule breaks the ordering.
+//
+// The detector is built from its two parents' parts rather than copies of
+// them: the happens-before core of DJIT (vclock.HB), the held lock-sets and
+// bus-lock models of the lock-set detector (lockset.Held) and the block
+// shadow all three race detectors share (trace.Shadow). What is its own is
+// the per-granule cell holding both a candidate lock-set and FastTrack-style
+// epochs, and the rule that reports only when both sides agree.
 package hybrid
 
 import (
@@ -60,37 +67,17 @@ type cell struct {
 	readsClean bool
 }
 
-// Detector is the hybrid tool. Like its two parents, per-ID state sits in
-// flat slices behind dense remappers, lock-sets are maintained incrementally
-// through memoised transition edges, vector-clock components are indexed by
-// dense thread number, and block shadow is slab-recycled on free.
+// Detector is the hybrid tool: the happens-before core it shares with DJIT
+// (vclock.HB, always with lock edges), per-thread held lock-sets it shares
+// with the lock-set detector (lockset.Held, indexed by HB's dense thread
+// number) and slab-backed per-block shadow cells.
 type Detector struct {
-	trace.BaseSink
-	cfg     Config
-	col     trace.Reporter
-	sets    *lockset.SetTable
-	thIx    trace.Dense
-	lkIx    trace.Dense
-	syIx    trace.Dense
-	segIx   trace.Dense
-	blkIx   trace.Dense
-	threads []threadState
-	locks   []vclock.VC
-	syncs   []vclock.VC
-	segVC   []vclock.VC
-	msgs    map[int64]vclock.VC
-	msgPool []vclock.VC
-	shadow  [][]cell
-	slab    trace.Slab[cell]
-}
-
-type threadState struct {
-	init   bool
-	vc     vclock.VC
-	anyM   lockset.SetID
-	wrM    lockset.SetID
-	anyBus lockset.SetID
-	wrBus  lockset.SetID
+	vclock.HB
+	cfg    Config
+	col    trace.Reporter
+	sets   *lockset.SetTable
+	held   []lockset.Held
+	shadow trace.Shadow[cell]
 }
 
 // Spec registers the detector with the analysis engine's tool registry. Like
@@ -109,204 +96,59 @@ func Spec(cfg Config) trace.ToolSpec {
 func New(cfg Config, col trace.Reporter) *Detector {
 	cfg = cfg.withDefaults()
 	return &Detector{
+		HB:   vclock.HB{Edges: cfg.Edges, LockEdges: true},
 		cfg:  cfg,
 		col:  col,
 		sets: lockset.NewSetTable(),
-		msgs: make(map[int64]vclock.VC),
 	}
 }
 
 // ToolName implements trace.Sink.
 func (d *Detector) ToolName() string { return d.cfg.Tool }
 
-// tIdx returns the dense index for a thread, initialising its clock and
-// lock-set variants on first sight.
-func (d *Detector) tIdx(t trace.ThreadID) int {
-	ti := d.thIx.Index(int32(t))
-	for len(d.threads) <= ti {
-		d.threads = append(d.threads, threadState{})
+// thread returns the dense index of thread t and its held lock-sets.
+func (d *Detector) thread(t trace.ThreadID) (int, *lockset.Held) {
+	ti := d.Thread(t)
+	for len(d.held) <= ti {
+		d.held = append(d.held, lockset.NewHeld(d.sets))
 	}
-	ts := &d.threads[ti]
-	if !ts.init {
-		ts.init = true
-		ts.vc = vclock.New(ti).Tick(ti)
-		ts.anyBus = d.sets.Add(lockset.EmptySet, trace.BusLock)
-		ts.wrBus = ts.anyBus
-	}
-	return ti
-}
-
-func growVCs(s []vclock.VC, i int) []vclock.VC {
-	for len(s) <= i {
-		s = append(s, nil)
-	}
-	return s
-}
-
-// ThreadStart implements trace.Sink.
-func (d *Detector) ThreadStart(t, parent trace.ThreadID) {
-	ti := d.tIdx(t)
-	if parent != 0 {
-		pi := d.tIdx(parent)
-		d.threads[ti].vc = d.threads[ti].vc.Join(d.threads[pi].vc)
-		d.threads[pi].vc = d.threads[pi].vc.Tick(pi)
-	}
-	d.threads[ti].vc = d.threads[ti].vc.Tick(ti)
-}
-
-// Segment implements trace.Sink.
-func (d *Detector) Segment(ss *trace.SegmentStart) {
-	ti := d.tIdx(ss.Thread)
-	ts := &d.threads[ti]
-	for _, e := range ss.In {
-		switch e.Kind {
-		case trace.Join:
-			if si := d.segIx.Lookup(int32(e.From)); si >= 0 && d.segVC[si] != nil {
-				ts.vc = ts.vc.Join(d.segVC[si])
-			}
-		case trace.Queue, trace.Cond, trace.Sem:
-			if d.cfg.Edges.Has(e.Kind) {
-				if si := d.segIx.Lookup(int32(e.From)); si >= 0 && d.segVC[si] != nil {
-					ts.vc = ts.vc.Join(d.segVC[si])
-				}
-			}
-		}
-	}
-	ts.vc = ts.vc.Tick(ti)
-	si := d.segIx.Index(int32(ss.Seg))
-	d.segVC = growVCs(d.segVC, si)
-	d.segVC[si] = vclock.CopyInto(d.segVC[si], ts.vc)
+	return ti, &d.held[ti]
 }
 
 // Acquire implements trace.Sink: the held sets advance by one memoised
 // transition edge per variant, and the lock's clock joins the thread's.
-func (d *Detector) Acquire(t trace.ThreadID, l trace.LockID, k trace.LockKind, _ trace.StackID) {
-	ti := d.tIdx(t)
-	ts := &d.threads[ti]
-	ts.anyM = d.sets.Add(ts.anyM, l)
-	ts.anyBus = d.sets.Add(ts.anyM, trace.BusLock)
-	if k == trace.Mutex || k == trace.WLock {
-		ts.wrM = d.sets.Add(ts.wrM, l)
-	} else {
-		ts.wrM = d.sets.Remove(ts.wrM, l)
-	}
-	ts.wrBus = d.sets.Add(ts.wrM, trace.BusLock)
-	if li := d.lkIx.Lookup(int32(l)); li >= 0 && d.locks[li] != nil {
-		ts.vc = ts.vc.Join(d.locks[li])
-	}
+func (d *Detector) Acquire(t trace.ThreadID, l trace.LockID, k trace.LockKind, s trace.StackID) {
+	_, held := d.thread(t)
+	held.Acquire(d.sets, l, k)
+	d.HB.Acquire(t, l, k, s)
 }
 
 // Release implements trace.Sink.
-func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _ trace.StackID) {
-	ti := d.tIdx(t)
-	ts := &d.threads[ti]
-	ts.anyM = d.sets.Remove(ts.anyM, l)
-	ts.anyBus = d.sets.Add(ts.anyM, trace.BusLock)
-	ts.wrM = d.sets.Remove(ts.wrM, l)
-	ts.wrBus = d.sets.Add(ts.wrM, trace.BusLock)
-	li := d.lkIx.Index(int32(l))
-	d.locks = growVCs(d.locks, li)
-	d.locks[li] = vclock.CopyInto(d.locks[li], ts.vc)
-	ts.vc = ts.vc.Tick(ti)
-}
-
-// Sync implements trace.Sink.
-func (d *Detector) Sync(ev *trace.SyncEvent) {
-	ti := d.tIdx(ev.Thread)
-	ts := &d.threads[ti]
-	switch ev.Op {
-	case trace.QueuePut:
-		if d.cfg.Edges.Has(trace.Queue) {
-			var mv vclock.VC
-			if n := len(d.msgPool); n > 0 {
-				mv = d.msgPool[n-1]
-				d.msgPool = d.msgPool[:n-1]
-			}
-			d.msgs[ev.Msg] = vclock.CopyInto(mv, ts.vc)
-		}
-	case trace.QueueGet:
-		if d.cfg.Edges.Has(trace.Queue) {
-			if mv, ok := d.msgs[ev.Msg]; ok {
-				ts.vc = ts.vc.Join(mv)
-				delete(d.msgs, ev.Msg)
-				d.msgPool = append(d.msgPool, mv)
-			}
-		}
-	case trace.CondSignal, trace.CondBroadcast:
-		if d.cfg.Edges.Has(trace.Cond) {
-			si := d.syIx.Index(int32(ev.Obj))
-			d.syncs = growVCs(d.syncs, si)
-			d.syncs[si] = d.syncs[si].Join(ts.vc)
-			ts.vc = ts.vc.Tick(ti)
-		}
-	case trace.CondWaitDone:
-		if d.cfg.Edges.Has(trace.Cond) {
-			if si := d.syIx.Lookup(int32(ev.Obj)); si >= 0 && d.syncs[si] != nil {
-				ts.vc = ts.vc.Join(d.syncs[si])
-			}
-		}
-	case trace.SemPost:
-		if d.cfg.Edges.Has(trace.Sem) {
-			si := d.syIx.Index(int32(ev.Obj))
-			d.syncs = growVCs(d.syncs, si)
-			d.syncs[si] = d.syncs[si].Join(ts.vc)
-			ts.vc = ts.vc.Tick(ti)
-		}
-	case trace.SemWaitDone:
-		if d.cfg.Edges.Has(trace.Sem) {
-			if si := d.syIx.Lookup(int32(ev.Obj)); si >= 0 && d.syncs[si] != nil {
-				ts.vc = ts.vc.Join(d.syncs[si])
-			}
-		}
-	}
+func (d *Detector) Release(t trace.ThreadID, l trace.LockID, k trace.LockKind, s trace.StackID) {
+	_, held := d.thread(t)
+	held.Release(d.sets, l)
+	d.HB.Release(t, l, k, s)
 }
 
 // Alloc implements trace.Sink.
-func (d *Detector) Alloc(b *trace.Block) {
-	n := (int(b.Size) + d.cfg.Granule - 1) / d.cfg.Granule
-	bi := d.blkIx.Index(int32(b.ID))
-	for len(d.shadow) <= bi {
-		d.shadow = append(d.shadow, nil)
-	}
-	d.shadow[bi] = d.slab.Get(n)
-}
+func (d *Detector) Alloc(b *trace.Block) { d.shadow.Alloc(b, d.cfg.Granule) }
 
-// Free implements trace.Sink: the shadow cells return to the slab and the
-// dense slot is recycled (block IDs are never reused).
+// Free implements trace.Sink.
 func (d *Detector) Free(b *trace.Block, _ trace.ThreadID, _ trace.StackID) {
-	if bi := d.blkIx.Evict(int32(b.ID)); bi >= 0 {
-		d.slab.Put(d.shadow[bi])
-		d.shadow[bi] = nil
-	}
+	d.shadow.Free(b.ID)
 }
 
 // Access implements trace.Sink: report only when the lock-set is empty AND
 // the accesses are unordered. Same-epoch repeats skip the redundant shadow
 // stores and the read-set scan, never the race decision itself.
 func (d *Detector) Access(a *trace.Access) {
-	bi := d.blkIx.Lookup(int32(a.Block))
-	if bi < 0 {
-		return
-	}
-	sh := d.shadow[bi]
-	ti := d.tIdx(a.Thread)
-	ts := &d.threads[ti]
-	anyM, wrM := ts.anyM, ts.wrM
-	switch d.cfg.Bus {
-	case lockset.BusSingleMutex:
-		if a.Atomic {
-			anyM, wrM = ts.anyBus, ts.wrBus
-		}
-	case lockset.BusRWLock:
-		anyM = ts.anyBus
-		if a.Atomic {
-			wrM = ts.wrBus
-		}
-	}
-	epoch := vclock.Epoch{T: int32(ti), C: ts.vc.Get(ti)}
-	lo := int(a.Off) / d.cfg.Granule
-	hi := int(a.Off+a.Size-1) / d.cfg.Granule
-	for gi := lo; gi <= hi && gi < len(sh); gi++ {
+	sh := d.shadow.Block(a.Block)
+	lo, hi := trace.Granules(a.Off, a.Size, d.cfg.Granule, len(sh))
+	ti, held := d.thread(a.Thread)
+	anyM, wrM := held.For(d.cfg.Bus, a.Atomic)
+	now := d.Now(ti)
+	epoch := vclock.Epoch{T: int32(ti), C: now.Get(ti)}
+	for gi := lo; gi < hi; gi++ {
 		c := &sh[gi]
 		// Lock-set side: intersect with the mode-appropriate set.
 		eff := anyM
@@ -325,7 +167,7 @@ func (d *Detector) Access(a *trace.Access) {
 		var unordered bool
 		var prevStack trace.StackID
 		if a.Kind == trace.Read {
-			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(ts.vc) {
+			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(now) {
 				unordered = true
 				prevStack = c.writeStk
 			}
@@ -338,10 +180,10 @@ func (d *Detector) Access(a *trace.Access) {
 				c.readStk = a.Stack
 			}
 		} else {
-			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(ts.vc) {
+			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(now) {
 				unordered = true
 				prevStack = c.writeStk
-			} else if !c.readsClean && !c.reads.LEQ(ts.vc) {
+			} else if !c.readsClean && !c.reads.LEQ(now) {
 				unordered = true
 				prevStack = c.readStk
 			}

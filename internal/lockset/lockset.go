@@ -143,24 +143,82 @@ type gran struct {
 	benign   bool
 }
 
-// threadLocks tracks one thread's four interned lock-set variants (any/write
-// mode, with/without the bus pseudo-lock). The sets are maintained
-// incrementally: acquire and release walk a single memoised transition edge
-// per variant in the SetTable instead of re-sorting and re-interning the held
-// set, so steady-state lock traffic costs a few map hits and no allocation.
-type threadLocks struct {
-	init         bool
-	curSeg       trace.SegmentID
+// Held is one thread's held locks as four interned lock-set variants
+// (any/write mode, with/without the bus pseudo-lock), shared by the lock-set
+// and hybrid detectors. The sets are maintained incrementally: acquire and
+// release walk a single memoised transition edge per variant in the SetTable
+// instead of re-sorting and re-interning the held set, so steady-state lock
+// traffic costs a few map hits and no allocation.
+type Held struct {
 	anyMode      SetID
 	anyPlusBus   SetID
 	writeMode    SetID
 	writePlusBus SetID
 }
 
-// Detector is the lock-set race detector tool. Per-thread and per-block state
-// lives in flat slices indexed through dense ID remappers; block shadow
-// arrays are slab-recycled when the block is freed, so shadow memory tracks
-// the live heap rather than the allocation history.
+// NewHeld returns the held sets of a thread holding no lock. The zero SetID
+// is the empty set, which is right for any/write mode, but the plus-bus
+// variants start at {bus}.
+func NewHeld(sets *SetTable) Held {
+	bus := sets.Add(EmptySet, trace.BusLock)
+	return Held{anyPlusBus: bus, writePlusBus: bus}
+}
+
+// Acquire adds lock l, taken in mode k. Re-acquiring a held lock with a
+// different kind reclassifies it, matching the last-kind-wins semantics of
+// tracking held locks in a map: a downgrade to read mode drops it from the
+// write-mode set.
+func (h *Held) Acquire(sets *SetTable, l trace.LockID, k trace.LockKind) {
+	h.anyMode = sets.Add(h.anyMode, l)
+	h.anyPlusBus = sets.Add(h.anyMode, trace.BusLock)
+	if k == trace.Mutex || k == trace.WLock {
+		h.writeMode = sets.Add(h.writeMode, l)
+	} else {
+		h.writeMode = sets.Remove(h.writeMode, l)
+	}
+	h.writePlusBus = sets.Add(h.writeMode, trace.BusLock)
+}
+
+// Release drops lock l.
+func (h *Held) Release(sets *SetTable, l trace.LockID) {
+	h.anyMode = sets.Remove(h.anyMode, l)
+	h.anyPlusBus = sets.Add(h.anyMode, trace.BusLock)
+	h.writeMode = sets.Remove(h.writeMode, l)
+	h.writePlusBus = sets.Add(h.writeMode, trace.BusLock)
+}
+
+// For returns the effective (any-mode, write-mode) lock-sets of an access,
+// atomic when it is bus-locked, under the given bus-lock model.
+func (h *Held) For(bus BusModel, atomic bool) (anyM, wrM SetID) {
+	anyM, wrM = h.anyMode, h.writeMode
+	switch bus {
+	case BusSingleMutex:
+		// The pseudo-mutex is held (in both modes) only during the
+		// LOCK-prefixed instruction itself.
+		if atomic {
+			anyM, wrM = h.anyPlusBus, h.writePlusBus
+		}
+	case BusRWLock:
+		// Every read holds the bus lock in read mode; only bus-locked
+		// writes hold it in write mode.
+		anyM = h.anyPlusBus
+		if atomic {
+			wrM = h.writePlusBus
+		}
+	}
+	return anyM, wrM
+}
+
+// threadLocks is one thread's held locks plus the segment it is in.
+type threadLocks struct {
+	Held
+	curSeg trace.SegmentID
+}
+
+// Detector is the lock-set race detector tool. Per-thread state lives in a
+// flat slice indexed through a dense ID remapper; block shadow is a
+// trace.Shadow, recycled when the block is freed, so shadow memory tracks the
+// live heap rather than the allocation history.
 type Detector struct {
 	trace.BaseSink
 	cfg     Config
@@ -168,10 +226,8 @@ type Detector struct {
 	graph   *segments.Graph
 	col     trace.Reporter
 	thIx    trace.Dense
-	blkIx   trace.Dense
 	threads []threadLocks
-	shadow  [][]gran
-	slab    trace.Slab[gran]
+	shadow  trace.Shadow[gran]
 	races   int // dynamic race reports, pre-dedup
 }
 
@@ -216,42 +272,19 @@ func (d *Detector) DynamicRaces() int { return d.races }
 func (d *Detector) thread(id trace.ThreadID) *threadLocks {
 	ti := d.thIx.Index(int32(id))
 	for len(d.threads) <= ti {
-		d.threads = append(d.threads, threadLocks{})
+		d.threads = append(d.threads, threadLocks{Held: NewHeld(d.sets)})
 	}
-	tl := &d.threads[ti]
-	if !tl.init {
-		// The zero SetID is the empty set, which is right for any/write mode,
-		// but the plus-bus variants start at {bus}.
-		tl.init = true
-		tl.anyPlusBus = d.sets.Add(EmptySet, trace.BusLock)
-		tl.writePlusBus = tl.anyPlusBus
-	}
-	return tl
+	return &d.threads[ti]
 }
 
-// Acquire implements trace.Sink. Re-acquiring a held lock with a different
-// kind reclassifies it, matching the last-kind-wins semantics of tracking
-// held locks in a map: a downgrade to read mode drops it from the write-mode
-// set.
+// Acquire implements trace.Sink.
 func (d *Detector) Acquire(t trace.ThreadID, l trace.LockID, k trace.LockKind, _ trace.StackID) {
-	tl := d.thread(t)
-	tl.anyMode = d.sets.Add(tl.anyMode, l)
-	tl.anyPlusBus = d.sets.Add(tl.anyMode, trace.BusLock)
-	if k == trace.Mutex || k == trace.WLock {
-		tl.writeMode = d.sets.Add(tl.writeMode, l)
-	} else {
-		tl.writeMode = d.sets.Remove(tl.writeMode, l)
-	}
-	tl.writePlusBus = d.sets.Add(tl.writeMode, trace.BusLock)
+	d.thread(t).Acquire(d.sets, l, k)
 }
 
 // Release implements trace.Sink.
 func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _ trace.StackID) {
-	tl := d.thread(t)
-	tl.anyMode = d.sets.Remove(tl.anyMode, l)
-	tl.anyPlusBus = d.sets.Add(tl.anyMode, trace.BusLock)
-	tl.writeMode = d.sets.Remove(tl.writeMode, l)
-	tl.writePlusBus = d.sets.Add(tl.writeMode, trace.BusLock)
+	d.thread(t).Release(d.sets, l)
 }
 
 // Segment implements trace.Sink.
@@ -261,67 +294,27 @@ func (d *Detector) Segment(ss *trace.SegmentStart) {
 }
 
 // Alloc implements trace.Sink.
-func (d *Detector) Alloc(b *trace.Block) {
-	n := (int(b.Size) + d.cfg.Granule - 1) / d.cfg.Granule
-	bi := d.blkIx.Index(int32(b.ID))
-	for len(d.shadow) <= bi {
-		d.shadow = append(d.shadow, nil)
-	}
-	d.shadow[bi] = d.slab.Get(n)
-}
+func (d *Detector) Alloc(b *trace.Block) { d.shadow.Alloc(b, d.cfg.Granule) }
 
 // Free implements trace.Sink. Freed memory is unaddressable; races on it are
-// the memcheck tool's business (§4.2.1). The block's shadow cells go back to
-// the slab and its dense slot is recycled — the VM never reuses block IDs, so
-// an evicted block can never be accessed again.
+// the memcheck tool's business (§4.2.1).
 func (d *Detector) Free(b *trace.Block, _ trace.ThreadID, _ trace.StackID) {
-	if bi := d.blkIx.Evict(int32(b.ID)); bi >= 0 {
-		d.slab.Put(d.shadow[bi])
-		d.shadow[bi] = nil
-	}
-}
-
-// heldSets returns the effective (any-mode, write-mode) lock-sets for an
-// access, applying the configured bus-lock model.
-func (d *Detector) heldSets(tl *threadLocks, a *trace.Access) (anyM, wrM SetID) {
-	anyM, wrM = tl.anyMode, tl.writeMode
-	switch d.cfg.Bus {
-	case BusSingleMutex:
-		// The pseudo-mutex is held (in both modes) only during the
-		// LOCK-prefixed instruction itself.
-		if a.Atomic {
-			anyM, wrM = tl.anyPlusBus, tl.writePlusBus
-		}
-	case BusRWLock:
-		// Every read holds the bus lock in read mode; only bus-locked
-		// writes hold it in write mode.
-		anyM = tl.anyPlusBus
-		if a.Atomic {
-			wrM = tl.writePlusBus
-		}
-	}
-	return anyM, wrM
+	d.shadow.Free(b.ID)
 }
 
 // Access implements trace.Sink: the Eraser state machine with thread
 // segments.
 func (d *Detector) Access(a *trace.Access) {
-	bi := d.blkIx.Lookup(int32(a.Block))
-	if bi < 0 {
-		return
-	}
-	sh := d.shadow[bi]
-	tl := d.thread(a.Thread)
-	anyM, wrM := d.heldSets(tl, a)
-	lo := int(a.Off) / d.cfg.Granule
-	hi := int(a.Off+a.Size-1) / d.cfg.Granule
-	for gi := lo; gi <= hi && gi < len(sh); gi++ {
-		d.step(&sh[gi], a, gi, anyM, wrM)
+	sh := d.shadow.Block(a.Block)
+	lo, hi := trace.Granules(a.Off, a.Size, d.cfg.Granule, len(sh))
+	anyM, wrM := d.thread(a.Thread).For(d.cfg.Bus, a.Atomic)
+	for gi := lo; gi < hi; gi++ {
+		d.step(&sh[gi], a, anyM, wrM)
 	}
 }
 
 // step advances one granule through the Fig. 1 state machine.
-func (d *Detector) step(g *gran, a *trace.Access, gi int, anyM, wrM SetID) {
+func (d *Detector) step(g *gran, a *trace.Access, anyM, wrM SetID) {
 	if g.benign {
 		return
 	}
@@ -355,7 +348,7 @@ func (d *Detector) step(g *gran, a *trace.Access, gi int, anyM, wrM SetID) {
 		g.st = stSharedMod
 		g.set = d.sets.Intersect(Universe, wrM)
 		if g.set == EmptySet {
-			d.report(g, a, gi, stExclusive)
+			d.report(g, a, stExclusive)
 		}
 
 	case stSharedRead:
@@ -367,7 +360,7 @@ func (d *Detector) step(g *gran, a *trace.Access, gi int, anyM, wrM SetID) {
 		g.st = stSharedMod
 		g.set = d.sets.Intersect(g.set, wrM)
 		if g.set == EmptySet {
-			d.reportWithSet(g, a, gi, stSharedRead, prevSet)
+			d.reportWithSet(g, a, stSharedRead, prevSet)
 		}
 
 	case stSharedMod:
@@ -377,24 +370,16 @@ func (d *Detector) step(g *gran, a *trace.Access, gi int, anyM, wrM SetID) {
 			g.set = d.sets.Intersect(g.set, wrM)
 		}
 		if g.set == EmptySet {
-			d.report(g, a, gi, stSharedMod)
+			d.report(g, a, stSharedMod)
 		}
 	}
 }
 
 // Request implements trace.Sink: client requests (Fig. 4).
 func (d *Detector) Request(r *trace.Request) {
-	bi := d.blkIx.Lookup(int32(r.Block))
-	if bi < 0 {
-		return
-	}
-	sh := d.shadow[bi]
-	lo := int(r.Off) / d.cfg.Granule
-	hi := int(r.Off+r.Size-1) / d.cfg.Granule
-	if r.Size == 0 {
-		hi = lo - 1
-	}
-	for gi := lo; gi <= hi && gi < len(sh); gi++ {
+	sh := d.shadow.Block(r.Block)
+	lo, hi := trace.Granules(r.Off, r.Size, d.cfg.Granule, len(sh))
+	for gi := lo; gi < hi; gi++ {
 		g := &sh[gi]
 		switch r.Kind {
 		case trace.ReqDestruct:
@@ -416,11 +401,11 @@ func (d *Detector) Request(r *trace.Request) {
 	}
 }
 
-func (d *Detector) report(g *gran, a *trace.Access, gi int, prev state) {
-	d.reportWithSet(g, a, gi, prev, g.set)
+func (d *Detector) report(g *gran, a *trace.Access, prev state) {
+	d.reportWithSet(g, a, prev, g.set)
 }
 
-func (d *Detector) reportWithSet(g *gran, a *trace.Access, gi int, prev state, prevSet SetID) {
+func (d *Detector) reportWithSet(g *gran, a *trace.Access, prev state, prevSet SetID) {
 	d.races++
 	// Every violating access reports; the collector deduplicates per call
 	// stack, which matches how Helgrind output is triaged (and suppressed)

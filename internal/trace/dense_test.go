@@ -148,3 +148,28 @@ func TestSlabCapacityClasses(t *testing.T) {
 		t.Errorf("Get(128) after Put(cap 128): cap=%d, want recycled 128", cap(c2))
 	}
 }
+
+func TestGranules(t *testing.T) {
+	cases := []struct {
+		name           string
+		off, size      uint32
+		granule, n     int
+		wantLo, wantHi int
+	}{
+		{"one granule", 4, 4, 4, 10, 1, 2},
+		{"straddles two", 5, 4, 4, 10, 1, 3},
+		{"zero size at offset 0", 0, 0, 4, 10, 0, 0},
+		{"zero size inside", 8, 0, 4, 10, 0, 0},
+		{"runs past the block end", 30, 20, 4, 10, 7, 10},
+		{"starts past the block end", 100, 4, 4, 10, 25, 10},
+		{"off+size wraps uint32", 4, 0xFFFFFFFF, 4, 10, 1, 10},
+		{"off near 2^32 wraps", 0xFFFFFFFC, 8, 4, 10, 0x3FFFFFFF, 10},
+	}
+	for _, c := range cases {
+		lo, hi := Granules(c.off, c.size, c.granule, c.n)
+		if lo != c.wantLo || hi != c.wantHi {
+			t.Errorf("%s: Granules(%d, %d, %d, %d) = [%d, %d), want [%d, %d)",
+				c.name, c.off, c.size, c.granule, c.n, lo, hi, c.wantLo, c.wantHi)
+		}
+	}
+}
