@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cppmodel"
 	"repro/internal/harness"
-	"repro/internal/libc"
 	"repro/internal/lockset"
 	"repro/internal/scenario"
 	"repro/internal/sip"
@@ -284,15 +283,8 @@ func runCaseWithDetector(tc sipp.TestCase, kind string, opt harness.RunOptions) 
 		return 0, err
 	}
 	o.Tools = tools
-	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: true, ForceNew: opt.ForceNew})
-	res, err := core.Run(o, func(main *vm.Thread) {
-		lc := libc.New(main)
-		srv := sip.NewServer(main.VM(), rt, lc, sip.Config{Pattern: opt.Pattern, Bugs: opt.Bugs})
-		srv.Start(main)
-		sink := tc.Drive(main, srv, srv.Config().Domains)
-		srv.Stop(main)
-		main.Join(sink)
-	})
+	guest, _ := harness.SIPGuest(tc, opt, true)
+	res, err := core.Run(o, guest)
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,7 @@
 //
 //	sipbench                 # Fig. 6 table (thread-per-request, paper bugs)
 //	sipbench -decompose      # Fig. 5 family decomposition
+//	sipbench -offline        # Fig. 6 from one recording per case (§2.2)
 //	sipbench -case T4        # single test case, all configurations, with families
 //	sipbench -pool           # run under the Fig. 11 thread-pool pattern
 //	sipbench -seed 7         # different schedule
@@ -26,6 +27,7 @@ import (
 func main() {
 	var (
 		decompose = flag.Bool("decompose", false, "print the Fig. 5 family decomposition instead of the Fig. 6 table")
+		offline   = flag.Bool("offline", false, "record each test case once and replay the log into all three configurations in one pass (§2.2)")
 		caseID    = flag.String("case", "", "run a single test case (T1..T8) and print per-family counts")
 		pool      = flag.Bool("pool", false, "use the thread-pool pattern (Fig. 11) instead of thread-per-request")
 		seed      = flag.Int64("seed", 1, "scheduler seed")
@@ -58,14 +60,22 @@ func main() {
 		exitOn(err)
 		fmt.Println("Figure 5 — decomposition of Original-configuration locations:")
 		fmt.Print(harness.FormatFigure5(rows))
+	case *offline:
+		rows, err := harness.Figure6Offline(opt)
+		exitOn(err)
+		printFigure6("Figure 6 — reported locations, one recording per case replayed into every configuration:", rows)
 	default:
 		rows, _, err := harness.Figure6(opt)
 		exitOn(err)
-		fmt.Println("Figure 6 — reported possible data race locations:")
-		fmt.Print(harness.FormatFigure6(rows))
-		lo, hi := harness.ReductionRange(rows)
-		fmt.Printf("\nfalse positives removed by the improvements: %.0f%% .. %.0f%% (paper: 65%%..81%%)\n", lo, hi)
+		printFigure6("Figure 6 — reported possible data race locations:", rows)
 	}
+}
+
+func printFigure6(title string, rows []harness.Figure6Row) {
+	fmt.Println(title)
+	fmt.Print(harness.FormatFigure6(rows))
+	lo, hi := harness.ReductionRange(rows)
+	fmt.Printf("\nfalse positives removed by the improvements: %.0f%% .. %.0f%% (paper: 65%%..81%%)\n", lo, hi)
 }
 
 func runSingle(id string, opt harness.RunOptions) {

@@ -24,8 +24,8 @@
 // configurations side by side, plus the lock-order deadlock detector,
 // memcheck and the view-consistency checker. Each detector package exports a
 // Spec constructor declaring its name and routing class;
-// core.Options.Tools (or the -tools flag of racecheck, tracereplay, traced
-// and traceload) selects the registry for a run.
+// core.Options.Tools (or the -tools flag of racecheck, traced and
+// traceload) selects the registry for a run.
 //
 // Every tool instance is panic-isolated and writes to its own
 // report.Collector, whose sites are stamped with the global sequence number

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/harness"
-	"repro/internal/report"
 	"repro/internal/sipp"
 )
 
@@ -69,10 +68,7 @@ func main() {
 		final.TruePositives(), final.ByFamily[harness.FamBenign], final.ByFamily[harness.FamOther])
 
 	if *verbose {
-		for _, w := range final.Collector.Sites() {
-			fmt.Print(report.FormatWarning(w, nil))
-			fmt.Println()
-		}
+		fmt.Print(final.Collector.Format())
 	} else {
 		fmt.Println("re-run with -verbose to see each surviving warning site")
 	}

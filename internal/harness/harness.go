@@ -2,14 +2,19 @@
 // against the SIP server under a chosen detector configuration, classifies
 // every reported location into the paper's warning families (ground truth is
 // known because the bugs are seeded) and regenerates the paper's tables and
-// figures.
+// figures. Every analysed run goes through core.Run, or for the offline
+// table through one engine.Sequential replay, the engine the trace daemon
+// runs.
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/cppmodel"
+	"repro/internal/engine"
 	"repro/internal/libc"
 	"repro/internal/lockset"
 	"repro/internal/report"
@@ -17,6 +22,7 @@ import (
 	"repro/internal/sipp"
 	"repro/internal/suppress"
 	"repro/internal/trace"
+	"repro/internal/tracelog"
 	"repro/internal/vm"
 )
 
@@ -149,34 +155,60 @@ const HelgrindSuppressions = `
 }
 `
 
-// RunCase executes one test case under one detector configuration.
-func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, error) {
-	v := vm.New(vm.Options{Seed: opt.Seed, Quantum: opt.Quantum})
-	var sup report.Suppressor
-	if opt.Suppressions != "" {
-		f, err := suppress.ParseString(opt.Suppressions)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad suppressions: %w", err)
-		}
-		sup = f
-	}
-	col := report.NewCollector(v, sup)
-	v.AddTool(lockset.New(det.Cfg, col))
-
-	rt := cppmodel.NewRuntime(cppmodel.Options{
-		AnnotateDeletes: det.AnnotateDeletes,
-		ForceNew:        opt.ForceNew,
-	})
-	cfg := sip.Config{Pattern: opt.Pattern, Bugs: opt.Bugs}
+// SIPGuest returns the guest program of every SIP experiment: a fresh C++
+// runtime and libc, the SIP server opt configures, test case tc driven
+// against it, then an orderly shutdown. annotateDeletes builds the guest
+// through the delete-annotation pass (the paper's third run). handled reports
+// the requests the server handled once the guest has run.
+func SIPGuest(tc sipp.TestCase, opt RunOptions, annotateDeletes bool) (guest func(*vm.Thread), handled func() int) {
 	var srv *sip.Server
-	err := v.Run(func(main *vm.Thread) {
-		lc := libc.New(main)
-		srv = sip.NewServer(v, rt, lc, cfg)
+	guest = func(main *vm.Thread) {
+		rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: annotateDeletes, ForceNew: opt.ForceNew})
+		srv = sip.NewServer(main.VM(), rt, libc.New(main), sip.Config{Pattern: opt.Pattern, Bugs: opt.Bugs})
 		srv.Start(main)
 		sink := tc.Drive(main, srv, srv.Config().Domains)
 		srv.Stop(main)
 		main.Join(sink)
-	})
+	}
+	return guest, func() int { return srv.Handled() }
+}
+
+// RecordCase runs test case tc once with only the trace recorder attached
+// and returns the machine (for stack/block resolution) plus the encoded
+// binary log.
+func RecordCase(tc sipp.TestCase, opt RunOptions, annotateDeletes bool) (*vm.VM, []byte, error) {
+	guest, _ := SIPGuest(tc, opt, annotateDeletes)
+	return record(vm.Options{Seed: opt.Seed, Quantum: opt.Quantum}, guest)
+}
+
+// record runs guest on a fresh machine with only the trace recorder
+// attached and returns the machine and the encoded log.
+func record(o vm.Options, guest func(*vm.Thread)) (*vm.VM, []byte, error) {
+	var buf bytes.Buffer
+	rec := tracelog.NewRecorder(&buf)
+	v := vm.New(o)
+	v.AddTool(rec)
+	if err := v.Run(guest); err != nil {
+		return nil, nil, err
+	}
+	if err := rec.Flush(); err != nil {
+		return nil, nil, err
+	}
+	return v, buf.Bytes(), nil
+}
+
+// RunCase executes one test case under one detector configuration.
+func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, error) {
+	guest, handled := SIPGuest(tc, opt, det.AnnotateDeletes)
+	run, err := core.Run(core.Options{
+		Tools:        []trace.ToolSpec{lockset.Spec(det.Cfg)},
+		Suppressions: opt.Suppressions,
+		Seed:         opt.Seed,
+		Quantum:      opt.Quantum,
+	}, guest)
+	if err == nil {
+		err = run.Err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("harness: case %s under %s: %w", tc.ID, det.Name, err)
 	}
@@ -184,14 +216,14 @@ func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, err
 		Case:      tc.ID,
 		Detector:  det.Name,
 		Seed:      opt.Seed,
-		Locations: col.Locations(),
+		Locations: run.Locations(),
 		ByFamily:  make(map[Family]int),
-		Handled:   srv.Handled(),
-		Steps:     v.Steps(),
-		Collector: col,
+		Handled:   handled(),
+		Steps:     run.Steps,
+		Collector: run.Collector,
 	}
-	for _, w := range col.Sites() {
-		res.ByFamily[Classify(w, v)]++
+	for _, w := range run.Collector.Sites() {
+		res.ByFamily[Classify(w, run.VM)]++
 	}
 	return res, nil
 }
@@ -266,25 +298,61 @@ func Figure6(opt RunOptions) ([]Figure6Row, []*Result, error) {
 	var rows []Figure6Row
 	var all []*Result
 	for _, tc := range sipp.Cases() {
-		row := Figure6Row{Case: tc.ID}
+		locs := make(map[string]int)
 		for _, det := range PaperConfigs() {
 			res, err := RunCase(tc, det, opt)
 			if err != nil {
 				return nil, nil, err
 			}
 			all = append(all, res)
-			switch det.Name {
-			case "Original":
-				row.Original = res.Locations
-			case "HWLC":
-				row.HWLC = res.Locations
-			case "HWLC+DR":
-				row.HWLCDR = res.Locations
-			}
+			locs[det.Name] = res.Locations
 		}
-		rows = append(rows, row)
+		rows = append(rows, figure6Row(tc.ID, locs))
 	}
 	return rows, all, nil
+}
+
+// Figure6Offline is Figure6 as post-mortem analysis (§2.2): each test case
+// runs once, built with delete annotations and with only the trace recorder
+// attached, and one replay of its log feeds the three configurations as
+// distinctly named lock-set tools. Original and HWLC therefore analyse the
+// event stream HWLC+DR sees, not the one their own live runs produce.
+func Figure6Offline(opt RunOptions) ([]Figure6Row, error) {
+	sup, err := suppress.ParseString(opt.Suppressions)
+	if err != nil {
+		return nil, fmt.Errorf("harness: bad suppressions: %w", err)
+	}
+	var specs []trace.ToolSpec
+	for _, det := range PaperConfigs() {
+		cfg := det.Cfg
+		cfg.Tool = det.Name
+		specs = append(specs, lockset.Spec(cfg))
+	}
+	var rows []Figure6Row
+	for _, tc := range sipp.Cases() {
+		v, log, err := RecordCase(tc, opt, true)
+		if err != nil {
+			return nil, fmt.Errorf("harness: recording case %s: %w", tc.ID, err)
+		}
+		seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: v, Suppressor: sup})
+		if err != nil {
+			return nil, err
+		}
+		var col *report.Collector
+		if _, err = seq.ReplayLog(bytes.NewReader(log)); err == nil {
+			col, err = seq.Close()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("harness: replaying case %s: %w", tc.ID, err)
+		}
+		rows = append(rows, figure6Row(tc.ID, col.LocationsByTool()))
+	}
+	return rows, nil
+}
+
+// figure6Row builds a table row from locations keyed by configuration name.
+func figure6Row(id string, locs map[string]int) Figure6Row {
+	return Figure6Row{Case: id, Original: locs["Original"], HWLC: locs["HWLC"], HWLCDR: locs["HWLC+DR"]}
 }
 
 // FormatFigure6 renders the rows in the paper's table format.

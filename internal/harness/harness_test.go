@@ -1,11 +1,10 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/cppmodel"
-	"repro/internal/libc"
 	"repro/internal/sip"
 	"repro/internal/sipp"
 	"repro/internal/trace"
@@ -57,6 +56,44 @@ func TestFigure6Shape(t *testing.T) {
 		if res.Detector == "HWLC+DR" && res.TruePositives() == 0 {
 			t.Errorf("%s under HWLC+DR lost all true positives: %v", res.Case, res.ByFamily)
 		}
+	}
+}
+
+// TestFigure6OfflineVsLive pins both Fig. 6 tables. The offline table
+// records each case once, built with delete annotations, and replays that one
+// log into all three configurations; the live runs build Original and HWLC
+// without the annotations, so those two columns analyse a different event
+// stream. That is the measured cost of §2.2's offline claim that every
+// configuration sees "the SAME interleaving": the annotated build executes
+// more guest operations (T1: 10,796 steps against 10,508), so the scheduler
+// interleaves it differently. The tables differ in T1 (Original/HWLC 33/19
+// live, 32/18 offline), T3 (53/32 live, 54/33 offline) and T8 (Original 95
+// live, 94 offline); the HWLC+DR column is identical in every row.
+func TestFigure6OfflineVsLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full tables in -short mode")
+	}
+	live := []Figure6Row{
+		{"T1", 33, 19, 8}, {"T2", 54, 33, 16}, {"T3", 53, 32, 16}, {"T4", 56, 33, 16},
+		{"T5", 80, 43, 17}, {"T6", 97, 62, 18}, {"T7", 60, 34, 17}, {"T8", 95, 60, 18},
+	}
+	offline := []Figure6Row{
+		{"T1", 32, 18, 8}, {"T2", 54, 33, 16}, {"T3", 54, 33, 16}, {"T4", 56, 33, 16},
+		{"T5", 80, 43, 17}, {"T6", 97, 62, 18}, {"T7", 60, 34, 17}, {"T8", 94, 60, 18},
+	}
+	gotLive, _, err := Figure6(DefaultRunOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOffline, err := Figure6Offline(DefaultRunOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotLive, live) {
+		t.Errorf("live table:\n%swant:\n%s", FormatFigure6(gotLive), FormatFigure6(live))
+	}
+	if !slices.Equal(gotOffline, offline) {
+		t.Errorf("offline table:\n%swant:\n%s", FormatFigure6(gotOffline), FormatFigure6(offline))
 	}
 }
 
@@ -308,15 +345,8 @@ func TestServerEventStreamWellFormed(t *testing.T) {
 	v := vm.New(vm.Options{Seed: opt.Seed, Quantum: opt.Quantum})
 	val := trace.NewValidator()
 	v.AddTool(val)
-	rt := cppmodel.NewRuntime(cppmodel.Options{ForceNew: true})
-	err := v.Run(func(main *vm.Thread) {
-		lc := libc.New(main)
-		srv := sip.NewServer(v, rt, lc, sip.Config{Bugs: sip.PaperBugs()})
-		srv.Start(main)
-		sink := tc.Drive(main, srv, srv.Config().Domains)
-		srv.Stop(main)
-		main.Join(sink)
-	})
+	guest, _ := SIPGuest(tc, opt, false)
+	err := v.Run(guest)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -1,14 +1,13 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lockset"
-	"repro/internal/report"
-	"repro/internal/tracelog"
+	"repro/internal/trace"
 	"repro/internal/vectorclock"
 	"repro/internal/vm"
 )
@@ -90,69 +89,81 @@ func (w PerfWorkload) RunNative() PerfResult {
 	return PerfResult{Mode: PerfNative, Duration: time.Since(start), Ops: w.ops()}
 }
 
-// guestBody is the same workload expressed against the VM API. With
-// w.Blocks > 1 the table is split across that many blocks (same slot count,
-// same access sequence).
-func (w PerfWorkload) guestBody(v *vm.VM) func(*vm.Thread) {
-	return func(main *vm.Thread) {
-		mu := v.NewMutex("table")
-		nBlocks := w.Blocks
-		if nBlocks < 1 {
-			nBlocks = 1
-		}
-		if nBlocks > w.Slots {
-			nBlocks = w.Slots
-		}
-		perBlock := (w.Slots + nBlocks - 1) / nBlocks
-		blocks := make([]*vm.Block, nBlocks)
-		for i := range blocks {
-			blocks[i] = main.Alloc(perBlock*8, fmt.Sprintf("perf-table-%d", i))
-		}
-		counter := main.Alloc(8, "perf-counter")
-		workers := make([]*vm.Thread, w.Threads)
-		for th := 0; th < w.Threads; th++ {
-			th := th
-			workers[th] = main.Go(fmt.Sprintf("w%d", th), func(t *vm.Thread) {
-				local := uint64(th)
-				for i := 0; i < w.Iters; i++ {
-					mu.Lock(t)
-					slot := (th*w.Iters + i) % w.Slots
-					b := blocks[slot/perBlock]
-					off := (slot % perBlock) * 8
-					b.Store64(t, off, b.Load64(t, off)+local)
-					counter.Store64(t, 0, counter.Load64(t, 0)+1)
-					mu.Unlock(t)
-					local = local*1664525 + 1013904223
-				}
-			})
-		}
-		for _, t := range workers {
-			main.Join(t)
-		}
+// guest is the same workload expressed against the VM API. With w.Blocks > 1
+// the table is split across that many blocks (same slot count, same access
+// sequence).
+func (w PerfWorkload) guest(main *vm.Thread) {
+	mu := main.VM().NewMutex("table")
+	nBlocks := w.Blocks
+	if nBlocks < 1 {
+		nBlocks = 1
+	}
+	if nBlocks > w.Slots {
+		nBlocks = w.Slots
+	}
+	perBlock := (w.Slots + nBlocks - 1) / nBlocks
+	blocks := make([]*vm.Block, nBlocks)
+	for i := range blocks {
+		blocks[i] = main.Alloc(perBlock*8, fmt.Sprintf("perf-table-%d", i))
+	}
+	counter := main.Alloc(8, "perf-counter")
+	workers := make([]*vm.Thread, w.Threads)
+	for th := 0; th < w.Threads; th++ {
+		th := th
+		workers[th] = main.Go(fmt.Sprintf("w%d", th), func(t *vm.Thread) {
+			local := uint64(th)
+			for i := 0; i < w.Iters; i++ {
+				mu.Lock(t)
+				slot := (th*w.Iters + i) % w.Slots
+				b := blocks[slot/perBlock]
+				off := (slot % perBlock) * 8
+				b.Store64(t, off, b.Load64(t, off)+local)
+				counter.Store64(t, 0, counter.Load64(t, 0)+1)
+				mu.Unlock(t)
+				local = local*1664525 + 1013904223
+			}
+		})
+	}
+	for _, t := range workers {
+		main.Join(t)
 	}
 }
 
-// RunVM executes the workload on the VM with the given analysis mode.
+// RunVM executes the workload on the VM with the given analysis mode. The
+// analysed modes run through core.Run with the mode's one tool.
 func (w PerfWorkload) RunVM(mode PerfMode) (PerfResult, error) {
-	v := vm.New(vm.Options{Seed: w.Seed, Quantum: 10, MaxSteps: 500_000_000})
-	col := report.NewCollector(v, nil)
+	var spec trace.ToolSpec
 	switch mode {
 	case PerfVM:
-		// bare machine
+		v := vm.New(vm.Options{Seed: w.Seed, Quantum: 10, MaxSteps: 500_000_000})
+		start := time.Now()
+		if err := v.Run(w.guest); err != nil {
+			return PerfResult{}, err
+		}
+		return PerfResult{Mode: mode, Duration: time.Since(start), Steps: v.Steps(), Ops: w.ops()}, nil
 	case PerfVMLockset:
-		v.AddTool(lockset.New(lockset.ConfigOriginal(), col))
+		spec = lockset.Spec(lockset.ConfigOriginal())
 	case PerfVMLocksetDR:
-		v.AddTool(lockset.New(lockset.ConfigHWLCDR(), col))
+		spec = lockset.Spec(lockset.ConfigHWLCDR())
 	case PerfVMDJIT:
-		v.AddTool(vectorclock.New(vectorclock.DefaultConfig(), col))
+		spec = vectorclock.Spec(vectorclock.DefaultConfig())
 	default:
 		return PerfResult{}, fmt.Errorf("harness: RunVM does not support mode %q", mode)
 	}
 	start := time.Now()
-	if err := v.Run(w.guestBody(v)); err != nil {
+	res, err := core.Run(core.Options{
+		Tools:    []trace.ToolSpec{spec},
+		Seed:     w.Seed,
+		Quantum:  10,
+		MaxSteps: 500_000_000,
+	}, w.guest)
+	if err == nil {
+		err = res.Err
+	}
+	if err != nil {
 		return PerfResult{}, err
 	}
-	return PerfResult{Mode: mode, Duration: time.Since(start), Steps: v.Steps(), Ops: w.ops()}, nil
+	return PerfResult{Mode: mode, Duration: time.Since(start), Steps: res.Steps, Ops: w.ops()}, nil
 }
 
 // Overhead runs the full §4.5 matrix.
@@ -174,15 +185,5 @@ func (w PerfWorkload) Overhead() ([]PerfResult, error) {
 // times record once with this instead of re-executing the deterministic
 // guest on every repetition.
 func (w PerfWorkload) RecordTrace() (*vm.VM, []byte, error) {
-	var buf bytes.Buffer
-	rec := tracelog.NewRecorder(&buf)
-	v := vm.New(vm.Options{Seed: w.Seed, Quantum: 10, MaxSteps: 500_000_000})
-	v.AddTool(rec)
-	if err := v.Run(w.guestBody(v)); err != nil {
-		return nil, nil, err
-	}
-	if err := rec.Flush(); err != nil {
-		return nil, nil, err
-	}
-	return v, buf.Bytes(), nil
+	return record(vm.Options{Seed: w.Seed, Quantum: 10, MaxSteps: 500_000_000}, w.guest)
 }

@@ -8,9 +8,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cppmodel"
+	"repro/internal/harness"
 	"repro/internal/hybrid"
-	"repro/internal/libc"
 	"repro/internal/lockset"
 	"repro/internal/report"
 	"repro/internal/sip"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 	"repro/internal/vectorclock"
-	"repro/internal/vm"
 )
 
 // FuzzDetectorOracle replays VM traces through the production DJIT and
@@ -148,26 +146,14 @@ func checkOracles(t *testing.T, input string, log []byte) {
 // the thread pool's queue and condition edges.
 func TestDetectorOracleSIP(t *testing.T) {
 	for _, pattern := range []sip.Pattern{sip.ThreadPerRequest, sip.ThreadPool} {
+		opt := harness.DefaultRunOptions()
+		opt.Pattern = pattern
 		for _, tc := range sipp.Cases() {
-			var buf bytes.Buffer
-			rec := tracelog.NewRecorder(&buf)
-			v := vm.New(vm.Options{Seed: 1, Quantum: 3})
-			v.AddTool(rec)
-			rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: true, ForceNew: true})
-			err := v.Run(func(main *vm.Thread) {
-				srv := sip.NewServer(v, rt, libc.New(main), sip.Config{Pattern: pattern, Bugs: sip.PaperBugs()})
-				srv.Start(main)
-				sink := tc.Drive(main, srv, srv.Config().Domains)
-				srv.Stop(main)
-				main.Join(sink)
-			})
+			_, log, err := harness.RecordCase(tc, opt, true)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.ID, err)
 			}
-			if err := rec.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			checkOracles(t, fmt.Sprintf("%s pattern %d", tc.ID, pattern), buf.Bytes())
+			checkOracles(t, fmt.Sprintf("%s pattern %d", tc.ID, pattern), log)
 		}
 	}
 }
