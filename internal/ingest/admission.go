@@ -213,7 +213,7 @@ func (s *Server) acquireSlot() (waited bool, rej *rejectError) {
 			msg:        fmt.Sprintf("no analysis slot within %s (%d in use)", s.slotWaitBound(), cap(s.sem)),
 			retryAfter: s.retryAfter(),
 		}
-	case <-s.shutdown:
+	case <-s.loop.shutdown:
 		return true, &rejectError{reason: "shutdown", msg: "server shutting down"}
 	}
 }

@@ -342,3 +342,79 @@ func TestRetentionFold(t *testing.T) {
 		t.Errorf("snapshots query for folded session = %v, want remote error", err)
 	}
 }
+
+// TestAggregateConsistentUnderRetention pins that Aggregate is one snapshot
+// of the registry even while the retention policy folds sessions out of it:
+// the folded rollup and the retained sessions are read together, so a
+// session folded mid-query is counted exactly once. Streaming 400 sessions
+// through a server that retains one, a concurrent poller must never see the
+// session count go down, and every read must account for each session in
+// exactly one lifecycle bucket.
+func TestAggregateConsistentUnderRetention(t *testing.T) {
+	srv, addr := startServer(t, ingest.Config{RetainSessions: 1})
+	log := recordScenario(t, 1, false)
+	const clients, perClient = 4, 100
+
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		reads, last := 0, 0
+		for {
+			select {
+			case <-stop:
+				if reads == 0 {
+					polled <- errors.New("poller made no reads")
+					return
+				}
+				polled <- nil
+				return
+			default:
+			}
+			a := srv.Aggregate()
+			reads++
+			if a.Sessions < last {
+				polled <- fmt.Errorf("read %d: Sessions went down from %d to %d", reads, last, a.Sessions)
+				return
+			}
+			if a.Reported+a.Failed+a.Active != a.Sessions {
+				polled <- fmt.Errorf("read %d: reported %d + failed %d + active %d != %d sessions",
+					reads, a.Reported, a.Failed, a.Active, a.Sessions)
+				return
+			}
+			last = a.Sessions
+		}
+	}()
+
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			for i := 0; i < perClient; i++ {
+				cl, err := ingest.Dial(addr)
+				if err != nil {
+					errs <- err
+					return
+				}
+				_, err = cl.StreamTrace(fmt.Sprintf("c%d-%d", c, i), log, 0)
+				cl.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Error(err)
+	}
+	if a := srv.Aggregate(); a.Sessions != clients*perClient || a.Reported != clients*perClient {
+		t.Errorf("final aggregate: %d session(s), %d reported, want %d of each",
+			a.Sessions, a.Reported, clients*perClient)
+	}
+}

@@ -60,7 +60,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -237,7 +237,6 @@ type Session struct {
 	err     error
 	col     *report.Collector // set in StateReported
 	sums    map[string]trace.ToolSummary
-	report  string     // rendered final report (StateReported)
 	snaps   []Snapshot // retained incremental reports, oldest first
 	dropped int        // older snapshots discarded by the retention cap
 	done    bool       // handler finished: report delivered or failure final
@@ -385,14 +384,15 @@ func (s *Session) addSnapshot(sn Snapshot) {
 }
 
 // LatestReport returns the freshest rendered report the session has: the
-// final report once reported, otherwise the newest incremental snapshot,
-// otherwise a status line. This is what a "session <name>" query receives.
+// final report once reported — rendered from its collector exactly as its
+// client received it — otherwise the newest incremental snapshot, otherwise
+// a status line. This is what a "session <name>" query receives.
 func (s *Session) LatestReport() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case s.state == StateReported:
-		return s.report
+		return degradedHeader(s.sampledOut, s.shed) + s.col.Format()
 	case len(s.snaps) > 0:
 		return s.snaps[len(s.snaps)-1].Report
 	default:
@@ -429,6 +429,15 @@ func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// resultLocked is the session's outcome as a per-session record: what a
+// rollup adds, and, with Report set, what a backend returns. Callers hold s.mu.
+func (s *Session) resultLocked() *BackendResult {
+	return &BackendResult{
+		Name: s.Name, Events: s.events, SampledOut: s.sampledOut,
+		Shed: s.shed, Sums: s.sums, Col: s.col,
+	}
 }
 
 // markDone records that the session's handler has finished: its state can no
@@ -480,23 +489,21 @@ type Server struct {
 	cfg Config
 	met *serverMetrics // nil when Config.Metrics is nil
 
-	draining atomic.Bool // set at Shutdown entry; health endpoints read it
+	loop *connLoop
 
 	mu       sync.Mutex
-	ln       net.Listener
 	sessions map[uint64]*Session
 	order    []uint64 // session IDs in open order (deterministic aggregate)
 	nextID   uint64
-	conns    map[net.Conn]struct{}
-	closed   bool
-	folded   foldedState // retention rollup of evicted sessions
-	drain    DrainSummary
+	// folded is the retention rollup of the sessions evicted from the
+	// registry. Folding is aggregate-preserving: the rollup of folded plus
+	// the remaining registry equals the rollup of the unretained registry.
+	folded rollup
+	drain  DrainSummary
 
 	sem         chan struct{} // MaxSessions slots
 	slotWaiters atomic.Int64  // connections parked waiting for a slot
 	bucket      *tokenBucket  // admission pacing; nil when AdmitRate is 0
-	shutdown    chan struct{} // closed at Shutdown entry; unparks slot waiters
-	wg          sync.WaitGroup
 }
 
 // DrainSummary is the outcome of a Shutdown flush: how many sessions were
@@ -511,7 +518,7 @@ type DrainSummary struct {
 
 // Draining reports whether Shutdown has begun — the state a health endpoint
 // distinguishes from live serving.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.loop.draining.Load() }
 
 // LastDrain returns the drain outcome of the completed Shutdown; the zero
 // summary before Shutdown has run.
@@ -519,31 +526,6 @@ func (s *Server) LastDrain() DrainSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.drain
-}
-
-// foldedState is the running aggregate of sessions the retention policy has
-// evicted from the registry: their lifecycle counts, event totals, summed
-// tool summaries and one merged collector holding every folded reported
-// session's warning sites. Folding is an aggregate-preserving operation —
-// Aggregate over (folded state + remaining registry) equals Aggregate over
-// the unretained registry, because report.Merge is associative for inputs
-// merged in session open order.
-type foldedState struct {
-	sessions int
-	reported int
-	failed   int
-	events   int64
-	col      *report.Collector // merged folded reported sessions; nil until the first fold
-	sums     map[string]trace.ToolSummary
-
-	sampledOut int64 // summed exact sampler drops of folded sessions
-	degraded   int   // folded sessions that analysed less than their stream
-
-	// Compaction tallies (Config.FoldSiteCap): what the bounded fold has
-	// discarded, disclosed by the aggregate so the cap never silently
-	// shrinks the numbers.
-	compactedSites int
-	compactedOccs  int
 }
 
 // NewServer creates a server; call Serve with a listener to start it.
@@ -558,10 +540,13 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		met:      newServerMetrics(cfg.Metrics),
 		sessions: make(map[uint64]*Session),
-		conns:    make(map[net.Conn]struct{}),
 		sem:      make(chan struct{}, cfg.MaxSessions),
-		shutdown: make(chan struct{}),
 	}
+	var observe func(tracelog.FrameKind, int)
+	if s.met != nil {
+		observe = s.met.observeFrame
+	}
+	s.loop = newConnLoop(cfg.IdleTimeout, observe, s.serveConn)
 	if cfg.AdmitRate > 0 {
 		burst := cfg.AdmitBurst
 		if burst <= 0 {
@@ -574,93 +559,26 @@ func NewServer(cfg Config) (*Server, error) {
 
 // Serve accepts connections on ln until Shutdown (or a listener error) and
 // blocks while doing so. Each connection is served on its own goroutine.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.loop.serve(ln) }
 
 // Shutdown stops accepting and flushes in-flight sessions: it waits for them
 // to drain and report until ctx expires, then force-closes the remaining
 // connections (their sessions fail with a truncated stream) and waits for
 // the handlers to finish.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		// Unpark every connection still waiting for a MaxSessions slot:
-		// they are rejected through the normal error path instead of
-		// outliving the server on the semaphore.
-		close(s.shutdown)
-	}
-	ln := s.ln
+	// Stopping the loop also unparks every connection still waiting for a
+	// MaxSessions slot: they are rejected through the normal error path
+	// instead of outliving the server on the semaphore.
+	s.loop.stop()
 	// In-flight census before any flushing: these are the sessions the drain
 	// summary tracks to their terminal state.
 	var inflight []*Session
-	for _, id := range s.order {
-		sess := s.sessions[id]
+	for _, sess := range s.Sessions() {
 		if st := sess.State(); st != StateReported && st != StateFailed {
 			inflight = append(inflight, sess)
 		}
 	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		err = ctx.Err()
-	}
+	err := s.loop.drain(ctx)
 	sum := DrainSummary{InFlight: len(inflight)}
 	for _, sess := range inflight {
 		if sess.State() == StateReported {
@@ -690,46 +608,27 @@ func (s *Server) register(name string) *Session {
 	return sess
 }
 
-// serveConn runs one connection: a query exchange or a full session.
-func (s *Server) serveConn(conn net.Conn) {
-	// The idle deadline wraps the raw connection, underneath the frame
-	// layer, so it covers the handshake and every stream read alike.
-	var rd io.Reader = conn
-	if s.cfg.IdleTimeout > 0 {
-		rd = idleReader{conn: conn, timeout: s.cfg.IdleTimeout}
-	}
-	fr := tracelog.NewFrameReader(rd)
-	if s.met != nil {
-		fr.SetObserver(s.met.observeFrame)
-	}
-	fw := tracelog.NewFrameWriter(conn)
-	kind, meta, err := fr.Handshake()
-	if err != nil {
-		fw.Error(fmt.Sprintf("bad handshake: %v", err))
-		return
-	}
-	assigned := false
+// serveConn runs one handshaken connection: a query exchange or a full
+// session.
+func (s *Server) serveConn(conn net.Conn, fr *tracelog.FrameReader, fw *tracelog.FrameWriter, kind tracelog.FrameKind, meta string) {
 	switch kind {
 	case tracelog.FrameQuery:
 		s.serveQuery(fw, meta)
 		return
-	case tracelog.FrameBackendStats:
+	case tracelog.FrameBackendStats, tracelog.FrameAssign:
 		if !s.cfg.BackendMode {
-			fw.Error("backend-stats: this server is not a backend analyzer (Config.BackendMode)")
+			fw.Error(fmt.Sprintf("%s: this server is not a backend analyzer (Config.BackendMode)", kind))
 			return
 		}
-		s.serveBackendStats(fw)
-		return
-	case tracelog.FrameAssign:
-		if !s.cfg.BackendMode {
-			fw.Error("assign: this server is not a backend analyzer (Config.BackendMode)")
+		if kind == tracelog.FrameBackendStats {
+			s.serveBackendStats(fw)
 			return
 		}
-		// A router-forwarded session: analysed exactly like a hello session,
-		// but answered with a structured backend-report frame the router
-		// folds and relays.
-		assigned = true
 	}
+	// An assign-opened session is router-forwarded: analysed exactly like a
+	// hello session, but answered with a structured backend-report frame the
+	// router folds and relays.
+	assigned := kind == tracelog.FrameAssign
 
 	// A session occupies an analysis slot for its whole pipeline lifetime;
 	// waiting here (before any stream is read) is the cross-session
@@ -916,12 +815,11 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 	// delivery downgrades the session to failed afterwards. A degraded
 	// session's report says so up front — exact counts, never silently.
 	text := degradedHeader(run.sampledOut(), run.shed) + col.Format()
-	sums := run.pipe.Summaries()
 	sess.mu.Lock()
 	sess.transitionLocked(StateReported)
 	sess.col = col
-	sess.sums = sums
-	sess.report = text
+	sess.sums = run.pipe.Summaries()
+	res := sess.resultLocked()
 	sess.mu.Unlock()
 	if s.met != nil {
 		for tool, n := range col.LocationsByTool() {
@@ -932,10 +830,7 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 		// The router gets the structured result: the rendered text it relays
 		// to the client, plus the portable collector and summaries it folds
 		// into the fleet aggregate.
-		res := &BackendResult{
-			Name: sess.Name, Events: run.events, SampledOut: run.sampledOut(),
-			Shed: run.shed, Report: text, Sums: sums, Col: col,
-		}
+		res.Report = text
 		err = fw.BackendReport(res.encode(nil))
 	} else {
 		err = fw.Report(text)
@@ -960,44 +855,28 @@ func (s *Server) serveBackendStats(fw *tracelog.FrameWriter) {
 // lifecycle counts and event totals only — no collector merge, so a router
 // polling every backend costs the fleet nothing measurable.
 func (s *Server) census() BackendCensus {
-	s.mu.Lock()
-	c := BackendCensus{
-		Sessions: s.folded.sessions, Reported: s.folded.reported,
-		Failed: s.folded.failed, Folded: s.folded.sessions,
-		Events: s.folded.events,
+	r, folded := s.tally()
+	return BackendCensus{
+		Sessions: r.sessions, Reported: r.reported, Failed: r.failed,
+		Active: r.active, Folded: folded, Events: r.events,
 	}
-	s.mu.Unlock()
-	for _, sess := range s.Sessions() {
+}
+
+// tally adds every retained session to a copy of the folded rollup, unmerged.
+// The folded state and the registry are read in one s.mu critical section,
+// so a session the retention policy folds concurrently is counted exactly
+// once.
+func (s *Server) tally() (r rollup, folded int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r = s.folded
+	for _, id := range s.order {
+		sess := s.sessions[id]
 		sess.mu.Lock()
-		c.Sessions++
-		c.Events += sess.events
-		switch sess.state {
-		case StateReported:
-			c.Reported++
-		case StateFailed:
-			c.Failed++
-		default:
-			c.Active++
-		}
+		r.add(sess.state, sess.resultLocked())
 		sess.mu.Unlock()
 	}
-	return c
-}
-
-// idleReader applies a rolling read deadline to a session connection: every
-// read rearms Config.IdleTimeout, so only a genuinely stalled peer times
-// out. The resulting net timeout error fails the session through the normal
-// stream-error path, freeing its MaxSessions slot.
-type idleReader struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (r idleReader) Read(p []byte) (int, error) {
-	if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
-		return 0, err
-	}
-	return r.conn.Read(p)
+	return r, s.folded.sessions
 }
 
 // snapshotTrigger interposes on a session's stream reads to take pipeline
@@ -1041,40 +920,29 @@ func (t *snapshotTrigger) Read(p []byte) (int, error) {
 
 // serveQuery answers a query connection.
 func (s *Server) serveQuery(fw *tracelog.FrameWriter, q string) {
-	reply := func(what, text string) {
-		if err := fw.Report(text); err != nil {
-			// An oversized response is refused before any bytes hit the
-			// wire, so the client can still be told why.
-			fw.Error(fmt.Sprintf("%s: %v", what, err))
-		}
-	}
-	name, sessionQ := strings.CutPrefix(q, "session ")
-	manifestName, snapshotsQ := strings.CutPrefix(q, "snapshots ")
 	switch {
 	case q == "aggregate":
-		reply("aggregate", s.Aggregate().Format())
+		reply(fw, "aggregate", s.Aggregate().Format())
 	case q == "sessions":
-		reply("sessions", s.formatSessions())
+		reply(fw, "sessions", s.formatSessions())
 	case q == "stats":
 		if s.cfg.Metrics == nil {
 			fw.Error("stats: no metrics registry attached (Config.Metrics)")
 			return
 		}
-		reply("stats", s.cfg.Metrics.Snapshot())
-	case sessionQ:
+		reply(fw, "stats", s.cfg.Metrics.Snapshot())
+	case strings.HasPrefix(q, "session "), strings.HasPrefix(q, "snapshots "):
+		what, name, _ := strings.Cut(q, " ")
 		sess := s.SessionByName(strings.TrimSpace(name))
 		if sess == nil {
 			fw.Error(fmt.Sprintf("unknown session %q (never opened, or already folded into the aggregate)", strings.TrimSpace(name)))
 			return
 		}
-		reply("session", sess.LatestReport())
-	case snapshotsQ:
-		sess := s.SessionByName(strings.TrimSpace(manifestName))
-		if sess == nil {
-			fw.Error(fmt.Sprintf("unknown session %q (never opened, or already folded into the aggregate)", strings.TrimSpace(manifestName)))
-			return
+		if what == "session" {
+			reply(fw, what, sess.LatestReport())
+		} else {
+			reply(fw, what, sess.FormatSnapshots())
 		}
-		reply("snapshots", sess.FormatSnapshots())
 	default:
 		fw.Error(fmt.Sprintf("unknown query %q (known: aggregate, sessions, stats, session <name>, snapshots <name>)", q))
 	}
@@ -1094,10 +962,11 @@ func (s *Server) SessionByName(name string) *Session {
 }
 
 // formatSessions renders the registry listing a "sessions" query receives.
+// The retained sessions and the folded count are read in one s.mu critical
+// section, so a session folded concurrently is listed or counted, never both.
 func (s *Server) formatSessions() string {
-	sessions := s.Sessions()
 	s.mu.Lock()
-	folded := s.folded.sessions
+	sessions, folded := s.sessionsLocked(), s.folded.sessions
 	s.mu.Unlock()
 	return formatSessionsAt(sessions, folded, time.Now())
 }
@@ -1138,19 +1007,12 @@ func (s *Server) retire() {
 	if excess <= 0 {
 		return
 	}
-	evict := make(map[uint64]bool, excess)
 	for _, id := range terminal[:excess] {
 		s.fold(s.sessions[id])
-		evict[id] = true
 		delete(s.sessions, id)
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if !evict[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.order = kept
+	// The evicted IDs are the ones no longer in the registry map.
+	s.order = slices.DeleteFunc(s.order, func(id uint64) bool { return s.sessions[id] == nil })
 }
 
 // fold merges one terminal session into the retention rollup. Called with
@@ -1164,17 +1026,10 @@ func (s *Server) fold(sess *Session) {
 		s.met.folds.Inc()
 		s.met.states[sess.state].Add(-1)
 	}
-	s.folded.sessions++
-	s.folded.events += sess.events
-	s.folded.sampledOut += sess.sampledOut
-	if sess.sampledOut > 0 || len(sess.shed) > 0 {
-		s.folded.degraded++
-	}
+	s.folded.add(sess.state, sess.resultLocked())
 	if sess.state != StateReported {
-		s.folded.failed++
 		return
 	}
-	s.folded.reported++
 	// Merge produces a fresh collector every fold; the previous one is never
 	// mutated again, so an Aggregate holding it concurrently stays sound.
 	// With FoldSiteCap set, the fresh collector is compacted before it is
@@ -1182,26 +1037,14 @@ func (s *Server) fold(sess *Session) {
 	// order, and the discarded tail is tallied for the aggregate to
 	// disclose. Compacting pre-publication keeps a concurrent Aggregate
 	// sound — it only ever holds collectors that will never mutate again.
-	merged := report.Merge(nil, nil, s.folded.col, sess.col)
+	s.folded.merge()
 	if s.cfg.FoldSiteCap > 0 {
-		sites, occs := merged.CompactTail(s.cfg.FoldSiteCap)
+		sites, occs := s.folded.col.CompactTail(s.cfg.FoldSiteCap)
 		s.folded.compactedSites += sites
 		s.folded.compactedOccs += occs
 		if s.met != nil && sites > 0 {
 			s.met.foldCompactedSites.Add(int64(sites))
 		}
-	}
-	s.folded.col = merged
-	for name, sum := range sess.sums {
-		if s.folded.sums == nil {
-			s.folded.sums = make(map[string]trace.ToolSummary)
-		}
-		t := s.folded.sums[name]
-		if t == nil {
-			t = make(trace.ToolSummary)
-			s.folded.sums[name] = t
-		}
-		t.Merge(sum)
 	}
 }
 
@@ -1209,6 +1052,11 @@ func (s *Server) fold(sess *Session) {
 func (s *Server) Sessions() []*Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.sessionsLocked()
+}
+
+// sessionsLocked is Sessions for callers holding s.mu.
+func (s *Server) sessionsLocked() []*Session {
 	out := make([]*Session, 0, len(s.order))
 	for _, id := range s.order {
 		out = append(out, s.sessions[id])
@@ -1255,68 +1103,27 @@ type Aggregate struct {
 // (RetainSessions) is invisible here: the rollup over folded state plus the
 // remaining registry equals the rollup an unretained registry would give.
 func (s *Server) Aggregate() *Aggregate {
-	agg := &Aggregate{
-		ByTool:    make(map[string]int),
-		Summaries: make(map[string]trace.ToolSummary),
+	r, folded := s.tally()
+	r.merge()
+	return &Aggregate{
+		Sessions:             r.sessions,
+		Reported:             r.reported,
+		Failed:               r.failed,
+		Active:               r.active,
+		Folded:               folded,
+		Events:               r.events,
+		SampledOut:           r.sampledOut,
+		Degraded:             r.degraded,
+		CompactedSites:       r.compactedSites,
+		CompactedOccurrences: r.compactedOccs,
+		ByTool:               r.col.LocationsByTool(),
+		Summaries:            r.sums,
+		Merged:               r.col,
 	}
-	var cols []*report.Collector
-	// Start from the retention rollup, copied under the lock (later folds
-	// mutate the summary maps in place; the collector is never mutated).
-	s.mu.Lock()
-	agg.Sessions = s.folded.sessions
-	agg.Reported = s.folded.reported
-	agg.Failed = s.folded.failed
-	agg.Folded = s.folded.sessions
-	agg.Events = s.folded.events
-	agg.SampledOut = s.folded.sampledOut
-	agg.Degraded = s.folded.degraded
-	agg.CompactedSites = s.folded.compactedSites
-	agg.CompactedOccurrences = s.folded.compactedOccs
-	for name, sum := range s.folded.sums {
-		t := make(trace.ToolSummary)
-		t.Merge(sum)
-		agg.Summaries[name] = t
-	}
-	if s.folded.col != nil {
-		cols = append(cols, s.folded.col)
-	}
-	s.mu.Unlock()
-	for _, sess := range s.Sessions() {
-		sess.mu.Lock()
-		agg.Sessions++
-		agg.Events += sess.events
-		agg.SampledOut += sess.sampledOut
-		if sess.sampledOut > 0 || len(sess.shed) > 0 {
-			agg.Degraded++
-		}
-		switch sess.state {
-		case StateReported:
-			agg.Reported++
-			cols = append(cols, sess.col)
-			for name, sum := range sess.sums {
-				t := agg.Summaries[name]
-				if t == nil {
-					t = make(trace.ToolSummary)
-					agg.Summaries[name] = t
-				}
-				t.Merge(sum)
-			}
-		case StateFailed:
-			agg.Failed++
-		default:
-			agg.Active++
-		}
-		sess.mu.Unlock()
-	}
-	agg.Merged = report.Merge(nil, nil, cols...)
-	for tool, n := range agg.Merged.LocationsByTool() {
-		agg.ByTool[tool] = n
-	}
-	return agg
 }
 
 // Format renders the aggregate in the report idiom: a header block with the
-// session and per-tool counts, then the merged warnings.
+// session counts, then the rollup body (formatRollup).
 func (a *Aggregate) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== ingest aggregate: %d session(s) — %d reported, %d failed, %d active; %d event(s)\n",
@@ -1332,38 +1139,7 @@ func (a *Aggregate) Format() string {
 		fmt.Fprintf(&b, "== compaction: %d warning site(s) (%d occurrence(s)) discarded beyond the fold site cap\n",
 			a.CompactedSites, a.CompactedOccurrences)
 	}
-	tools := make([]string, 0, len(a.ByTool))
-	for tool := range a.ByTool {
-		tools = append(tools, tool)
-	}
-	sort.Strings(tools)
-	if len(tools) > 0 {
-		b.WriteString("== tool locations:")
-		for _, tool := range tools {
-			fmt.Fprintf(&b, " %s=%d", tool, a.ByTool[tool])
-		}
-		b.WriteByte('\n')
-	}
-	sums := make([]string, 0, len(a.Summaries))
-	for name := range a.Summaries {
-		sums = append(sums, name)
-	}
-	sort.Strings(sums)
-	for _, name := range sums {
-		counts := a.Summaries[name]
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "== %s summary:", name)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%d", k, counts[k])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(a.Merged.Format())
-	return b.String()
+	return formatRollup(&b, a.ByTool, a.Summaries, a.Merged)
 }
 
 // Listen opens a listener from a "network:address" spec: "tcp:127.0.0.1:0"

@@ -299,6 +299,21 @@ func TestOverloadFlood(t *testing.T) {
 		} else if reports[i] != want {
 			t.Errorf("flood-%d: undegraded report differs from the offline replay", i)
 		}
+		// A "session" query serves exactly what the client received,
+		// degraded header included.
+		q, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.Query(fmt.Sprintf("session flood-%d", i))
+		q.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != reports[i] {
+			t.Errorf("flood-%d: session query differs from the report its client received (degraded=%v)",
+				i, sess.Degraded())
+		}
 	}
 
 	agg := srv.Aggregate()
@@ -322,6 +337,46 @@ func TestOverloadFlood(t *testing.T) {
 	}
 	if got := series["ingest_sampled_events_total"]; got != sampledSum {
 		t.Errorf("sampled events metric = %d, want %d", got, sampledSum)
+	}
+}
+
+// TestDegradedSessionQuery pins the "session <name>" query of a degraded
+// session: with one of two slots held, a session is admitted at full
+// pressure, sheds tools and samples accesses, and the query serves byte for
+// byte the report — degraded header included — that its client received.
+func TestDegradedSessionQuery(t *testing.T) {
+	srv, addr := startServer(t, ingest.Config{
+		MaxSessions:       2,
+		AdaptiveSampling:  true,
+		DegradationLadder: true,
+	})
+	holder := stallHolder(t, srv, addr, "holder")
+	defer holder.Close()
+
+	c, err := ingest.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.StreamTrace("degraded", recordScenario(t, 2, true), 0)
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(got, "== degraded:") {
+		t.Fatalf("session admitted at full pressure is not degraded:\n%s", got)
+	}
+	q, err := ingest.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	text, err := q.Query("session degraded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != got {
+		t.Errorf("session query differs from the degraded report its client received:\n--- query ---\n%s--- client ---\n%s",
+			text, got)
 	}
 }
 

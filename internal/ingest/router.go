@@ -34,7 +34,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,19 +68,19 @@ type Router struct {
 	cfg RouterConfig
 	met *routerMetrics
 
-	draining atomic.Bool
-
 	backends []*routerBackend
+	loop     *connLoop
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	shutdown chan struct{}
-	wg       sync.WaitGroup
-	nextID   uint64
-	recs     []routedRecord // recent session outcomes, oldest first
-	tally    fleetTally
+	mu     sync.Mutex
+	nextID uint64         // sessions routed so far
+	recs   []routedRecord // recent session outcomes, oldest first
+	// tally is the fleet rollup of the finished sessions, folded
+	// progressively as they complete: a reported session adds its backend
+	// result, any other outcome counts as failed. lost and rejected count
+	// the failures that have their own disclosure line.
+	tally    rollup
+	lost     int // failed because their backend died
+	rejected int // refused busy by backend admission
 }
 
 // routerBackend is one backend's live accounting.
@@ -102,24 +101,6 @@ type routedRecord struct {
 	backend string
 	outcome string // reported, failed, lost, rejected
 	events  int64
-	opened  time.Time
-}
-
-// fleetTally is the router's running cross-backend rollup, folded
-// progressively as sessions complete. Guarded by Router.mu; the collector is
-// replaced, never mutated, so a concurrent FleetAggregate stays sound.
-type fleetTally struct {
-	sessions   int // every routed session
-	reported   int
-	failed     int // client-side stream failures and backend refusals
-	lost       int // failed because their backend died
-	rejected   int // refused busy by backend admission
-	active     int
-	events     int64
-	sampledOut int64
-	degraded   int
-	col        *report.Collector
-	sums       map[string]trace.ToolSummary
 }
 
 // routerMetrics is the router's self-observability surface.
@@ -157,11 +138,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.RetainResults = 256
 	}
 	r := &Router{
-		cfg:      cfg,
-		met:      newRouterMetrics(cfg.Metrics, len(cfg.Backends)),
-		conns:    make(map[net.Conn]struct{}),
-		shutdown: make(chan struct{}),
+		cfg: cfg,
+		met: newRouterMetrics(cfg.Metrics, len(cfg.Backends)),
 	}
+	r.loop = newConnLoop(cfg.IdleTimeout, nil, r.serveConn)
 	for _, spec := range cfg.Backends {
 		if _, _, err := splitSpec(spec); err != nil {
 			return nil, err
@@ -172,100 +152,23 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 }
 
 // Draining reports whether Shutdown has begun.
-func (r *Router) Draining() bool { return r.draining.Load() }
+func (r *Router) Draining() bool { return r.loop.draining.Load() }
 
 // Serve accepts connections on ln until Shutdown (or a listener error) and
 // blocks while doing so.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				r.mu.Lock()
-				delete(r.conns, conn)
-				r.mu.Unlock()
-				conn.Close()
-			}()
-			r.serveConn(conn)
-		}()
-	}
-}
+func (r *Router) Serve(ln net.Listener) error { return r.loop.serve(ln) }
 
 // Shutdown stops accepting and waits for in-flight forwarded sessions to
 // finish until ctx expires, then force-closes the remaining connections
 // (their sessions fail on both sides as truncated streams).
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.draining.Store(true)
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		close(r.shutdown)
-	}
-	ln := r.ln
-	r.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		r.mu.Lock()
-		for conn := range r.conns {
-			conn.Close()
-		}
-		r.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
+	r.loop.stop()
+	return r.loop.drain(ctx)
 }
 
-// serveConn runs one client connection: a query exchange or a forwarded
-// session.
-func (r *Router) serveConn(conn net.Conn) {
-	var rd io.Reader = conn
-	if r.cfg.IdleTimeout > 0 {
-		rd = idleReader{conn: conn, timeout: r.cfg.IdleTimeout}
-	}
-	fr := tracelog.NewFrameReader(rd)
-	fw := tracelog.NewFrameWriter(conn)
-	kind, meta, err := fr.Handshake()
-	if err != nil {
-		fw.Error(fmt.Sprintf("bad handshake: %v", err))
-		return
-	}
+// serveConn runs one handshaken client connection: a query exchange or a
+// forwarded session.
+func (r *Router) serveConn(_ net.Conn, fr *tracelog.FrameReader, fw *tracelog.FrameWriter, kind tracelog.FrameKind, meta string) {
 	switch kind {
 	case tracelog.FrameQuery:
 		r.serveQuery(fw, meta)
@@ -329,8 +232,6 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 	r.mu.Lock()
 	r.nextID++
 	id := r.nextID
-	r.tally.sessions++
-	r.tally.active++
 	r.mu.Unlock()
 	if r.met != nil {
 		r.met.sessionsRouted.Inc()
@@ -347,7 +248,7 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 	var bc net.Conn
 	for {
 		if b = r.pick(name); b == nil {
-			r.finish(id, name, "", "failed", 0)
+			r.finish(id, name, "", "failed", nil)
 			fw.Error("router: no live backend analyzers")
 			return
 		}
@@ -385,7 +286,7 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 				// a malformed frame): the session fails exactly as it would
 				// at a plain server, and closing the backend conn surfaces
 				// the same truncation there. The backend is not at fault.
-				r.finish(id, name, b.spec, "failed", 0)
+				r.finish(id, name, b.spec, "failed", nil)
 				fw.Error(fmt.Sprintf("stream: %v", err))
 				return
 			}
@@ -413,11 +314,12 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 	}
 	res, err := decodeBackendResult(payload)
 	if err != nil {
-		r.finish(id, name, b.spec, "failed", 0)
+		r.finish(id, name, b.spec, "failed", nil)
 		fw.Error(fmt.Sprintf("router: bad backend result: %v", err))
 		return
 	}
-	r.fold(b, id, name, res)
+	b.reported.Add(1)
+	r.finish(id, name, b.spec, "reported", res)
 	fw.Report(res.Report)
 }
 
@@ -440,11 +342,11 @@ func (r *Router) settleEarlyClose(fw *tracelog.FrameWriter, bc net.Conn, brd *tr
 func (r *Router) relayRefusal(fw *tracelog.FrameWriter, id uint64, name, spec string, err error) {
 	var be *tracelog.BusyError
 	if errors.As(err, &be) {
-		r.finish(id, name, spec, "rejected", 0)
+		r.finish(id, name, spec, "rejected", nil)
 		fw.Error(tracelog.BusyMessage(be.Reason, be.RetryAfter))
 		return
 	}
-	r.finish(id, name, spec, "failed", 0)
+	r.finish(id, name, spec, "failed", nil)
 	fw.Error(strings.TrimPrefix(err.Error(), "tracelog: remote error: "))
 }
 
@@ -456,63 +358,39 @@ func (r *Router) loseSession(fw *tracelog.FrameWriter, b *routerBackend, id uint
 	if r.met != nil {
 		r.met.sessionsLost.Inc()
 	}
-	r.finish(id, name, b.spec, "lost", 0)
+	r.finish(id, name, b.spec, "lost", nil)
 	fw.Error(fmt.Sprintf("router: backend %s lost mid-session: %v", b.spec, err))
 }
 
-// finish records one session's terminal outcome in the tally and the bounded
-// recent-record list.
-func (r *Router) finish(id uint64, name, spec, outcome string, events int64) {
+// finish records one session's terminal outcome in the fleet tally and the
+// bounded recent-record list. A reported session's backend result is merged
+// at once: Merge over the content-derived SiteKeys is commutative and
+// associative, so the progressive fold — sessions completing on different
+// backends in arbitrary order — is byte-identical to a one-shot merge, and to
+// the same sessions analysed by a single-process server. res is nil for
+// every other outcome.
+func (r *Router) finish(id uint64, name, spec, outcome string, res *BackendResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tally.active--
+	if res != nil {
+		r.tally.add(StateReported, res)
+		r.tally.merge()
+	} else {
+		res = &BackendResult{}
+		r.tally.add(StateFailed, res)
+	}
 	switch outcome {
-	case "reported":
-		r.tally.reported++
 	case "lost":
-		r.tally.lost++
+		r.lost++
 	case "rejected":
-		r.tally.rejected++
-	default:
-		r.tally.failed++
+		r.rejected++
 	}
 	r.recs = append(r.recs, routedRecord{
-		id: id, name: name, backend: spec, outcome: outcome,
-		events: events, opened: time.Now(),
+		id: id, name: name, backend: spec, outcome: outcome, events: res.Events,
 	})
 	if len(r.recs) > r.cfg.RetainResults {
 		r.recs = append(r.recs[:0], r.recs[len(r.recs)-r.cfg.RetainResults:]...)
 	}
-}
-
-// fold merges one backend result into the fleet tally. Merge over the
-// content-derived SiteKeys is commutative and associative, so the progressive
-// fold — sessions completing on different backends in arbitrary order — is
-// byte-identical to a one-shot merge, and to the same sessions analysed by a
-// single-process server.
-func (r *Router) fold(b *routerBackend, id uint64, name string, res *BackendResult) {
-	b.reported.Add(1)
-	r.mu.Lock()
-	t := &r.tally
-	t.events += res.Events
-	t.sampledOut += res.SampledOut
-	if res.SampledOut > 0 || len(res.Shed) > 0 {
-		t.degraded++
-	}
-	t.col = report.Merge(nil, nil, t.col, res.Col)
-	for sumName, sum := range res.Sums {
-		if t.sums == nil {
-			t.sums = make(map[string]trace.ToolSummary)
-		}
-		dst := t.sums[sumName]
-		if dst == nil {
-			dst = make(trace.ToolSummary)
-			t.sums[sumName] = dst
-		}
-		dst.Merge(sum)
-	}
-	r.mu.Unlock()
-	r.finish(id, name, b.spec, "reported", res.Events)
 }
 
 // BackendStatus is one backend's line in the fleet aggregate.
@@ -547,31 +425,23 @@ type FleetAggregate struct {
 
 // FleetAggregate computes the rollup at this instant.
 func (r *Router) FleetAggregate() *FleetAggregate {
-	agg := &FleetAggregate{
-		ByTool:    make(map[string]int),
-		Summaries: make(map[string]trace.ToolSummary),
-	}
 	r.mu.Lock()
-	t := &r.tally
-	agg.Sessions = t.sessions
-	agg.Reported = t.reported
-	agg.Failed = t.failed
-	agg.Lost = t.lost
-	agg.Rejected = t.rejected
-	agg.Active = t.active
-	agg.Events = t.events
-	agg.SampledOut = t.sampledOut
-	agg.Degraded = t.degraded
-	col := t.col
-	for name, sum := range t.sums {
-		dst := make(trace.ToolSummary)
-		dst.Merge(sum)
-		agg.Summaries[name] = dst
-	}
+	t, routed, lost, rejected := r.tally, int(r.nextID), r.lost, r.rejected
 	r.mu.Unlock()
-	agg.Merged = report.Merge(nil, nil, col)
-	for tool, n := range agg.Merged.LocationsByTool() {
-		agg.ByTool[tool] = n
+	t.merge()
+	agg := &FleetAggregate{
+		Sessions:   routed,
+		Reported:   t.reported,
+		Failed:     t.failed - lost - rejected,
+		Lost:       lost,
+		Rejected:   rejected,
+		Active:     routed - t.sessions,
+		Events:     t.events,
+		SampledOut: t.sampledOut,
+		Degraded:   t.degraded,
+		ByTool:     t.col.LocationsByTool(),
+		Summaries:  t.sums,
+		Merged:     t.col,
 	}
 	for _, b := range r.backends {
 		st := BackendStatus{
@@ -616,62 +486,26 @@ func (a *FleetAggregate) Format() string {
 		}
 		b.WriteByte('\n')
 	}
-	tools := make([]string, 0, len(a.ByTool))
-	for tool := range a.ByTool {
-		tools = append(tools, tool)
-	}
-	sort.Strings(tools)
-	if len(tools) > 0 {
-		b.WriteString("== tool locations:")
-		for _, tool := range tools {
-			fmt.Fprintf(&b, " %s=%d", tool, a.ByTool[tool])
-		}
-		b.WriteByte('\n')
-	}
-	sums := make([]string, 0, len(a.Summaries))
-	for name := range a.Summaries {
-		sums = append(sums, name)
-	}
-	sort.Strings(sums)
-	for _, name := range sums {
-		counts := a.Summaries[name]
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "== %s summary:", name)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%d", k, counts[k])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(a.Merged.Format())
-	return b.String()
+	return formatRollup(&b, a.ByTool, a.Summaries, a.Merged)
 }
 
 // serveQuery answers a router query connection. Per-session state (snapshots,
 // individual reports) lives on the backends, so the router serves the fleet
 // views and points session queries at the tier that has them.
 func (r *Router) serveQuery(fw *tracelog.FrameWriter, q string) {
-	reply := func(what, text string) {
-		if err := fw.Report(text); err != nil {
-			fw.Error(fmt.Sprintf("%s: %v", what, err))
-		}
-	}
 	switch {
 	case q == "aggregate":
-		reply("aggregate", r.FleetAggregate().Format())
+		reply(fw, "aggregate", r.FleetAggregate().Format())
 	case q == "backends":
-		reply("backends", r.formatBackends())
+		reply(fw, "backends", r.formatBackends())
 	case q == "sessions":
-		reply("sessions", r.formatSessions())
+		reply(fw, "sessions", r.formatSessions())
 	case q == "stats":
 		if r.cfg.Metrics == nil {
 			fw.Error("stats: no metrics registry attached (RouterConfig.Metrics)")
 			return
 		}
-		reply("stats", r.cfg.Metrics.Snapshot())
+		reply(fw, "stats", r.cfg.Metrics.Snapshot())
 	case strings.HasPrefix(q, "session "), strings.HasPrefix(q, "snapshots "):
 		fw.Error(fmt.Sprintf("%q: per-session state lives on the backend analyzers; query them directly", q))
 	default:
@@ -683,7 +517,8 @@ func (r *Router) serveQuery(fw *tracelog.FrameWriter, q string) {
 func (r *Router) formatSessions() string {
 	r.mu.Lock()
 	recs := append([]routedRecord(nil), r.recs...)
-	active, total := r.tally.active, r.tally.sessions
+	total := int(r.nextID)
+	active := total - r.tally.sessions
 	r.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "== routed sessions: %d total, %d active, last %d outcome(s)\n", total, active, len(recs))

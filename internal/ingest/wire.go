@@ -12,7 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/intern"
 	"repro/internal/report"
@@ -60,20 +61,12 @@ func (res *BackendResult) encode(b []byte) []byte {
 	b = appendBackendString(b, res.Report)
 	// Summaries in sorted name/key order: the encoding of a result is a pure
 	// function of its content, never of map iteration order.
-	names := make([]string, 0, len(res.Sums))
-	for name := range res.Sums {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(res.Sums))
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
 		sum := res.Sums[name]
 		b = appendBackendString(b, name)
-		keys := make([]string, 0, len(sum))
-		for k := range sum {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := slices.Sorted(maps.Keys(sum))
 		b = binary.AppendUvarint(b, uint64(len(keys)))
 		for _, k := range keys {
 			b = appendBackendString(b, k)
