@@ -72,6 +72,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -85,32 +86,33 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	var (
-		listen         = flag.String("listen", "tcp:127.0.0.1:7433", "listen address (network:address; unix:/path or tcp:host:port)")
-		toolList       = flag.String("tools", "all", "per-session tool registry (comma-separated, 'all' for every tool)")
-		maxSessions    = flag.Int("max-sessions", 64, "concurrently analysed session cap")
-		grace          = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight sessions")
-		reportInterval = flag.Duration("report-interval", 0, "periodic incremental session reports (0 disables; served to 'session'/'snapshots' queries)")
-		retain         = flag.Int("retain", 0, "terminal sessions retained individually before being folded into the aggregate (0 keeps all)")
-		idleTimeout    = flag.Duration("idle-timeout", 0, "fail a session whose connection goes idle for this long (0 disables)")
-		httpAddr       = flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this host:port (empty disables)")
-		statsInterval  = flag.Duration("stats-interval", 0, "print a one-line metrics dump to stderr this often (0 disables)")
-		admitTimeout   = flag.Duration("admit-timeout", 0, "reject a session with a typed busy error if no analysis slot frees within this long (0 waits until shutdown)")
-		admitRate      = flag.Float64("admit-rate", 0, "token-bucket admission pacing, sessions/second (0 disables; beyond the bucket, sessions are rejected busy)")
-		admitBurst     = flag.Int("admit-burst", 0, "admission token-bucket burst (0 defaults to -max-sessions)")
-		sampling       = flag.Bool("sampling", false, "adaptively sample access events from sessions admitted under overload pressure (exact shed counts stamped into reports)")
-		ladder         = flag.Bool("ladder", false, "shed auxiliary tools (highlevel, then deadlock) from sessions admitted under overload pressure")
-		foldCap        = flag.Int("fold-cap", 0, "bound the distinct warning sites the retention fold keeps; the aggregate discloses what was compacted (0 keeps all)")
-		adaptiveSnaps  = flag.Bool("adaptive-snapshots", false, "defer -report-interval snapshot ticks while overload pressure is high (deferral counts disclosed in snapshot listings)")
-		backendMode    = flag.Bool("backend", false, "run as a backend analyzer: additionally accept router-assigned sessions and census probes")
-		routerMode     = flag.Bool("router", false, "run as a session router over -backends instead of analysing locally")
-		backendSpecs   = flag.String("backends", "", "comma-separated backend specs for -router (network:address each)")
-	)
-	flag.Parse()
+var (
+	listen         = flag.String("listen", "tcp:127.0.0.1:7433", "listen address (network:address; unix:/path or tcp:host:port)")
+	toolList       = flag.String("tools", "all", "per-session tool registry (comma-separated, 'all' for every tool)")
+	maxSessions    = flag.Int("max-sessions", 64, "concurrently analysed session cap")
+	grace          = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight sessions")
+	reportInterval = flag.Duration("report-interval", 0, "periodic incremental session reports (0 disables; served to 'session'/'snapshots' queries)")
+	retain         = flag.Int("retain", 0, "terminal sessions retained individually before being folded into the aggregate (0 keeps all)")
+	idleTimeout    = flag.Duration("idle-timeout", 0, "fail a session whose connection goes idle for this long (0 disables)")
+	httpAddr       = flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this host:port (empty disables)")
+	statsInterval  = flag.Duration("stats-interval", 0, "print a one-line metrics dump to stderr this often (0 disables)")
+	admitTimeout   = flag.Duration("admit-timeout", 0, "reject a session with a typed busy error if no analysis slot frees within this long (0 waits until shutdown)")
+	admitRate      = flag.Float64("admit-rate", 0, "token-bucket admission pacing, sessions/second (0 disables; beyond the bucket, sessions are rejected busy)")
+	admitBurst     = flag.Int("admit-burst", 0, "admission token-bucket burst (0 defaults to -max-sessions)")
+	sampling       = flag.Bool("sampling", false, "adaptively sample access events from sessions admitted under overload pressure (exact shed counts stamped into reports)")
+	ladder         = flag.Bool("ladder", false, "shed auxiliary tools (highlevel, then deadlock) from sessions admitted under overload pressure")
+	foldCap        = flag.Int("fold-cap", 0, "bound the distinct warning sites the retention fold keeps; the aggregate discloses what was compacted (0 keeps all)")
+	adaptiveSnaps  = flag.Bool("adaptive-snapshots", false, "defer -report-interval snapshot ticks while overload pressure is high (deferral counts disclosed in snapshot listings)")
+	backendMode    = flag.Bool("backend", false, "run as a backend analyzer: additionally accept router-assigned sessions and census probes")
+	routerMode     = flag.Bool("router", false, "run as a session router over -backends instead of analysing locally")
+	backendSpecs   = flag.String("backends", "", "comma-separated backend specs for -router (network:address each)")
+)
 
+func main() {
+	flag.Parse()
+	reg := obs.NewRegistry()
 	if *routerMode {
-		runRouter(*listen, *backendSpecs, *idleTimeout, *grace, *httpAddr, *statsInterval)
+		runRouter(reg)
 		return
 	}
 	if *backendSpecs != "" {
@@ -123,8 +125,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "traced:", err)
 		os.Exit(2)
 	}
-
-	reg := obs.NewRegistry()
 	srv, err := ingest.NewServer(ingest.Config{
 		Tools:          tools,
 		MaxSessions:    *maxSessions,
@@ -146,20 +146,82 @@ func main() {
 		fmt.Fprintln(os.Stderr, "traced:", err)
 		os.Exit(2)
 	}
+	role := ""
+	if *backendMode {
+		role = ", backend mode"
+	}
+	run(lifecycle{
+		d:        srv,
+		reg:      reg,
+		banner:   fmt.Sprintf("listening on %s (tools %s, %d session slot(s)%s)", *listen, *toolList, *maxSessions, role),
+		sessions: "in-flight",
+		drained: func() {
+			drain := srv.LastDrain()
+			fmt.Fprintf(os.Stderr, "traced: drain: %d in-flight session(s) — %d flushed, %d force-failed\n",
+				drain.InFlight, drain.Flushed, drain.Forced)
+		},
+		aggregate: func() string { return srv.Aggregate().Format() },
+	})
+}
+
+// runRouter runs the session-sharding front tier: no local analysis, every
+// client session forwarded to one of the -backends processes, the fleet
+// aggregate printed on shutdown exactly like the single-process daemon prints
+// its own.
+func runRouter(reg *obs.Registry) {
+	var backends []string
+	for _, spec := range strings.Split(*backendSpecs, ",") {
+		if spec = strings.TrimSpace(spec); spec != "" {
+			backends = append(backends, spec)
+		}
+	}
+	rt, err := ingest.NewRouter(ingest.RouterConfig{
+		Backends:    backends,
+		IdleTimeout: *idleTimeout,
+		Metrics:     reg,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "traced:", err)
+		os.Exit(2)
+	}
+	run(lifecycle{
+		d:         rt,
+		reg:       reg,
+		banner:    fmt.Sprintf("routing on %s across %d backend(s): %s", *listen, len(backends), strings.Join(backends, ", ")),
+		sessions:  "forwarded",
+		aggregate: func() string { return rt.FleetAggregate().Format() },
+	})
+}
+
+// lifecycle is what the server and the router modes differ in; run does
+// everything else the same way for both.
+type lifecycle struct {
+	d interface {
+		Serve(net.Listener) error
+		Shutdown(context.Context) error
+		Draining() bool
+	}
+	reg       *obs.Registry
+	banner    string // printed once listening, after "traced: "
+	sessions  string // what a graceful shutdown drains: "in-flight" or "forwarded"
+	drained   func() // prints a drain summary after shutdown; nil for none
+	aggregate func() string
+}
+
+// run is the daemon's one lifecycle: listen on -listen, start the -http
+// endpoint and the -stats-interval dump, serve until SIGINT/SIGTERM (or a
+// listener error), drain within -grace, print the final stats to stderr and
+// the aggregate to stdout.
+func run(lc lifecycle) {
 	ln, err := ingest.Listen(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "traced:", err)
 		os.Exit(1)
 	}
-	role := ""
-	if *backendMode {
-		role = ", backend mode"
-	}
-	fmt.Printf("traced: listening on %s (tools %s, %d session slot(s)%s)\n",
-		*listen, *toolList, *maxSessions, role)
+	fmt.Printf("traced: %s\n", lc.banner)
 
 	if *httpAddr != "" {
-		hsrv, err := serveHTTP(*httpAddr, reg, srv.Draining)
+		hsrv, err := serveHTTP(*httpAddr, lc.reg, lc.d.Draining)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "traced:", err)
 			os.Exit(1)
@@ -167,113 +229,41 @@ func main() {
 		defer hsrv.Close()
 		fmt.Printf("traced: metrics on http://%s/metrics (healthz, pprof alongside)\n", *httpAddr)
 	}
-
 	if *statsInterval > 0 {
 		tick := time.NewTicker(*statsInterval)
 		defer tick.Stop()
 		go func() {
 			for range tick.C {
-				fmt.Fprintf(os.Stderr, "traced: stats %s\n", reg.OneLine())
+				fmt.Fprintf(os.Stderr, "traced: stats %s\n", lc.reg.OneLine())
 			}
 		}()
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	go func() { done <- lc.d.Serve(ln) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
-		fmt.Printf("traced: %v — draining in-flight sessions (grace %v)\n", s, *grace)
+		fmt.Printf("traced: %v — draining %s sessions (grace %v)\n", s, lc.sessions, *grace)
 		ctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		if err := lc.d.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "traced: forced shutdown:", err)
 		}
 		<-done
-		drain := srv.LastDrain()
-		fmt.Fprintf(os.Stderr, "traced: drain: %d in-flight session(s) — %d flushed, %d force-failed\n",
-			drain.InFlight, drain.Flushed, drain.Forced)
-		fmt.Fprintf(os.Stderr, "traced: final stats\n%s", reg.Snapshot())
+		if lc.drained != nil {
+			lc.drained()
+		}
+		fmt.Fprintf(os.Stderr, "traced: final stats\n%s", lc.reg.Snapshot())
 	case err := <-done:
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "traced: serve:", err)
 			os.Exit(1)
 		}
 	}
-	fmt.Print(srv.Aggregate().Format())
-}
-
-// runRouter runs the session-sharding front tier: no local analysis, every
-// client session forwarded to one of the -backends processes, the fleet
-// aggregate printed on shutdown exactly like the single-process daemon prints
-// its own.
-func runRouter(listen, specs string, idleTimeout, grace time.Duration, httpAddr string, statsInterval time.Duration) {
-	var backends []string
-	for _, spec := range strings.Split(specs, ",") {
-		if spec = strings.TrimSpace(spec); spec != "" {
-			backends = append(backends, spec)
-		}
-	}
-	reg := obs.NewRegistry()
-	rt, err := ingest.NewRouter(ingest.RouterConfig{
-		Backends:    backends,
-		IdleTimeout: idleTimeout,
-		Metrics:     reg,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "traced:", err)
-		os.Exit(2)
-	}
-	ln, err := ingest.Listen(listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "traced:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("traced: routing on %s across %d backend(s): %s\n", listen, len(backends), strings.Join(backends, ", "))
-
-	if httpAddr != "" {
-		hsrv, err := serveHTTP(httpAddr, reg, rt.Draining)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "traced:", err)
-			os.Exit(1)
-		}
-		defer hsrv.Close()
-		fmt.Printf("traced: metrics on http://%s/metrics (healthz, pprof alongside)\n", httpAddr)
-	}
-	if statsInterval > 0 {
-		tick := time.NewTicker(statsInterval)
-		defer tick.Stop()
-		go func() {
-			for range tick.C {
-				fmt.Fprintf(os.Stderr, "traced: stats %s\n", reg.OneLine())
-			}
-		}()
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- rt.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("traced: %v — draining forwarded sessions (grace %v)\n", s, grace)
-		ctx, cancel := context.WithTimeout(context.Background(), grace)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "traced: forced shutdown:", err)
-		}
-		<-done
-		fmt.Fprintf(os.Stderr, "traced: final stats\n%s", reg.Snapshot())
-	case err := <-done:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "traced: serve:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Print(rt.FleetAggregate().Format())
+	fmt.Print(lc.aggregate())
 }
 
 // serveHTTP starts the observability endpoint: Prometheus metrics, a

@@ -201,9 +201,10 @@
 // backend (traced -backend, ingest.Config.BackendMode) analyses the stream
 // exactly as a standalone daemon would and returns its rendered report
 // (relayed byte-identically to the client) plus a structured
-// ingest.BackendResult — counters, summaries and the session's collector in
-// wire form — which the router folds progressively into a fleet-wide
-// aggregate. Because folding is a report.Merge over content-derived keys,
+// tracelog.BackendResult — counters, summaries and the session's collector in
+// wire form, decoded like every payload from a peer through the one bounded
+// reader of internal/wire — which the router folds progressively into a
+// fleet-wide aggregate. Because folding is a report.Merge over content-derived keys,
 // the fleet aggregate is byte-identical to a single-process run of the same
 // sessions, regardless of backend assignment or completion order. Failure
 // stays contained and honest: a dead backend is marked and routed around

@@ -211,7 +211,7 @@ func (s *Server) acquireSlot() (waited bool, rej *rejectError) {
 		return true, &rejectError{
 			reason:     "slots",
 			msg:        fmt.Sprintf("no analysis slot within %s (%d in use)", s.slotWaitBound(), cap(s.sem)),
-			retryAfter: s.retryAfter(),
+			retryAfter: slotRetryAfter,
 		}
 	case <-s.loop.shutdown:
 		return true, &rejectError{reason: "shutdown", msg: "server shutting down"}
@@ -228,13 +228,9 @@ func (s *Server) slotWaitBound() time.Duration {
 	return d
 }
 
-// retryAfter is the backoff hint attached to slot rejections.
-func (s *Server) retryAfter() time.Duration {
-	if s.cfg.RetryAfter > 0 {
-		return s.cfg.RetryAfter
-	}
-	return time.Second
-}
+// slotRetryAfter is the backoff hint attached to slot-timeout rejections.
+// Rate rejections compute their own hint from the bucket.
+const slotRetryAfter = time.Second
 
 // reject answers a refused connection: the typed busy frame (or a plain
 // error frame for a shutdown refusal), the metric, and — for busy

@@ -44,11 +44,11 @@
 //     truncated (failed) stream, never as a silently-dropped report.
 //   - Scale-out: the same server with Config.BackendMode set becomes a
 //     backend analyzer — after each session it additionally returns a
-//     structured BackendResult (counters, summaries, the session collector
-//     in wire form) and answers census probes. Router (traced -router)
-//     shards ordinary client sessions across N such backends by rendezvous
-//     hashing and folds their results into a fleet aggregate that is
-//     byte-identical to a single-process run, because report.SiteKey is
+//     structured tracelog.BackendResult (counters, summaries, the session
+//     collector in wire form) and answers census probes. Router (traced
+//     -router) shards ordinary client sessions across N such backends by
+//     rendezvous hashing and folds their results into a fleet aggregate that
+//     is byte-identical to a single-process run, because report.SiteKey is
 //     content-derived and report.Merge is commutative over it. See the
 //     repo-root doc.go ("Cross-session site identity and the router tier")
 //     and README's "The router tier" section.
@@ -97,9 +97,6 @@ type Config struct {
 	// retry-after hint sized to the bucket's refill. 0 disables the gate.
 	AdmitRate  float64
 	AdmitBurst int
-	// RetryAfter is the backoff hint attached to slot-timeout rejections
-	// (default 1s). Rate rejections compute their own hint from the bucket.
-	RetryAfter time.Duration
 	// AdaptiveSampling lets sessions admitted under overload pressure shed a
 	// deterministic per-block fraction of memory-access events before
 	// analysis (see the sampler in admission.go). Exact sampled-out counts
@@ -143,10 +140,10 @@ type Config struct {
 	// BackendMode makes this server a backend analyzer in a router tier: in
 	// addition to ordinary hello sessions it accepts assign-opened sessions —
 	// router-forwarded client streams, answered with a structured
-	// backend-report frame (BackendResult) instead of rendered text — and
-	// backend-stats census requests. Off (the default), both openers are
-	// refused with an error frame: a plain daemon never half-speaks the
-	// router↔backend protocol by accident.
+	// backend-report frame (tracelog.BackendResult) instead of rendered
+	// text — and backend-stats census requests. Off (the default), both
+	// openers are refused with an error frame: a plain daemon never
+	// half-speaks the router↔backend protocol by accident.
 	BackendMode bool
 	// RetainSessions > 0 bounds how many terminal (reported or failed)
 	// sessions the registry keeps individually: beyond the bound, the oldest
@@ -433,8 +430,8 @@ func (s *Session) Err() error {
 
 // resultLocked is the session's outcome as a per-session record: what a
 // rollup adds, and, with Report set, what a backend returns. Callers hold s.mu.
-func (s *Session) resultLocked() *BackendResult {
-	return &BackendResult{
+func (s *Session) resultLocked() *tracelog.BackendResult {
+	return &tracelog.BackendResult{
 		Name: s.Name, Events: s.events, SampledOut: s.sampledOut,
 		Shed: s.shed, Sums: s.sums, Col: s.col,
 	}
@@ -800,8 +797,8 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 }
 
 // finish is the last phase of a session: it closes the pipeline, renders
-// the report and writes it — as a BackendResult frame for an assign-opened
-// session, as a report frame otherwise.
+// the report and writes it — as a tracelog.BackendResult frame for an
+// assign-opened session, as a report frame otherwise.
 func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool) *sessionError {
 	sess := run.sess
 	sess.setState(StateDrained)
@@ -831,7 +828,7 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 		// to the client, plus the portable collector and summaries it folds
 		// into the fleet aggregate.
 		res.Report = text
-		err = fw.BackendReport(res.encode(nil))
+		err = fw.BackendReport(res.Append(nil))
 	} else {
 		err = fw.Report(text)
 	}
@@ -846,7 +843,7 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 // serveBackendStats answers a census request (backend mode only).
 func (s *Server) serveBackendStats(fw *tracelog.FrameWriter) {
 	c := s.census()
-	if err := fw.BackendStats(c.encode(nil)); err != nil {
+	if err := fw.BackendStats(c.Append(nil)); err != nil {
 		fw.Error(fmt.Sprintf("backend-stats: %v", err))
 	}
 }
@@ -854,9 +851,9 @@ func (s *Server) serveBackendStats(fw *tracelog.FrameWriter) {
 // census computes the cheap registry rollup behind a backend-stats response:
 // lifecycle counts and event totals only — no collector merge, so a router
 // polling every backend costs the fleet nothing measurable.
-func (s *Server) census() BackendCensus {
+func (s *Server) census() tracelog.BackendCensus {
 	r, folded := s.tally()
-	return BackendCensus{
+	return tracelog.BackendCensus{
 		Sessions: r.sessions, Reported: r.reported, Failed: r.failed,
 		Active: r.active, Folded: folded, Events: r.events,
 	}

@@ -12,10 +12,10 @@ package ingest
 // backend's sessions), opens the forwarded stream with an assign frame, and
 // pumps every client frame to the backend verbatim (tracelog.CopyFrame, one
 // flush per frame so the client's pacing — and the backend's backpressure —
-// survive the hop). The backend answers with a structured BackendResult: the
-// rendered report the router relays to the client unchanged, plus the
-// portable collector and summaries the router folds progressively into the
-// fleet aggregate. Because Merge is commutative and associative over the
+// survive the hop). The backend answers with a structured
+// tracelog.BackendResult: the rendered report the router relays to the
+// client unchanged, plus the portable collector and summaries the router
+// folds progressively into the fleet aggregate. Because Merge is commutative and associative over the
 // content-derived SiteKeys (report/merge.go), the fold is byte-identical
 // regardless of which backend analysed which session or in what order they
 // finished — the property the cross-process conformance test pins.
@@ -312,7 +312,7 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 		r.loseSession(fw, b, id, name, err)
 		return
 	}
-	res, err := decodeBackendResult(payload)
+	res, err := tracelog.DecodeBackendResult(payload)
 	if err != nil {
 		r.finish(id, name, b.spec, "failed", nil)
 		fw.Error(fmt.Sprintf("router: bad backend result: %v", err))
@@ -369,14 +369,14 @@ func (r *Router) loseSession(fw *tracelog.FrameWriter, b *routerBackend, id uint
 // backends in arbitrary order — is byte-identical to a one-shot merge, and to
 // the same sessions analysed by a single-process server. res is nil for
 // every other outcome.
-func (r *Router) finish(id uint64, name, spec, outcome string, res *BackendResult) {
+func (r *Router) finish(id uint64, name, spec, outcome string, res *tracelog.BackendResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if res != nil {
 		r.tally.add(StateReported, res)
 		r.tally.merge()
 	} else {
-		res = &BackendResult{}
+		res = &tracelog.BackendResult{}
 		r.tally.add(StateFailed, res)
 	}
 	switch outcome {
@@ -560,7 +560,7 @@ func (r *Router) formatBackends() string {
 }
 
 // probeBackend runs one backend-stats exchange with a short deadline.
-func probeBackend(spec string) (*BackendCensus, error) {
+func probeBackend(spec string) (*tracelog.BackendCensus, error) {
 	conn, err := DialSpec(spec)
 	if err != nil {
 		return nil, err
@@ -575,5 +575,5 @@ func probeBackend(spec string) (*BackendCensus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeBackendCensus(payload)
+	return tracelog.DecodeBackendCensus(payload)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -308,7 +310,7 @@ func TestRouterBackendDeath(t *testing.T) {
 func TestRouterBusyRelay(t *testing.T) {
 	log := recordScenario(t, 1, true)
 	_, spec := startBackend(t, ingest.Config{
-		MaxSessions: 1, AdmitTimeout: 30 * time.Millisecond, RetryAfter: 250 * time.Millisecond,
+		MaxSessions: 1, AdmitTimeout: 30 * time.Millisecond,
 	})
 	rt, raddr := startRouter(t, []string{spec})
 
@@ -346,8 +348,8 @@ func TestRouterBusyRelay(t *testing.T) {
 	if !errors.Is(err, tracelog.ErrBusy) {
 		t.Fatalf("relayed rejection is not a typed busy error: %v", err)
 	}
-	if hint, ok := tracelog.RetryAfterHint(err); !ok || hint != 250*time.Millisecond {
-		t.Errorf("retry-after hint = %v (ok=%v), want 250ms", hint, ok)
+	if hint, ok := tracelog.RetryAfterHint(err); !ok || hint != ingest.SlotRetryAfter {
+		t.Errorf("retry-after hint = %v (ok=%v), want %v", hint, ok, ingest.SlotRetryAfter)
 	}
 
 	// Release the holder; its session must still complete cleanly.
@@ -362,6 +364,120 @@ func TestRouterBusyRelay(t *testing.T) {
 	if fleet.Backends[0].Dead {
 		t.Error("backend marked dead by an admission rejection")
 	}
+}
+
+// TestRouterCorruptBackendResult pins the router's third outcome besides a
+// relayed refusal and a lost backend: a backend that answers a session with
+// a malformed result payload fails that session only. The client is told
+// why, the fleet counts the session as failed (not lost), the backend stays
+// in rotation, and the next session routed to it completes.
+func TestRouterCorruptBackendResult(t *testing.T) {
+	log := recordScenario(t, 1, true)
+	_, real := startBackend(t, ingest.Config{})
+	rt, raddr := startRouter(t, []string{fakeBackend(t, real)})
+
+	c, err := ingest.Dial(raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.StreamTrace("garbled", log, 512)
+	c.Close()
+	if err == nil || !strings.Contains(err.Error(), "router: bad backend result: ") {
+		t.Fatalf("corrupt backend result surfaced as %v, want a bad-backend-result error", err)
+	}
+
+	c, err = ingest.Dial(raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.StreamTrace("after", log, 512)
+	c.Close()
+	if err != nil || rep == "" {
+		t.Fatalf("session after the corrupt result: %q, %v", rep, err)
+	}
+
+	fleet := rt.FleetAggregate()
+	if fleet.Failed != 1 || fleet.Lost != 0 || fleet.Reported != 1 {
+		t.Errorf("fleet = %d failed / %d lost / %d reported, want 1/0/1", fleet.Failed, fleet.Lost, fleet.Reported)
+	}
+	if !strings.Contains(fleet.Format(), "state=alive") {
+		t.Errorf("backend not alive after a corrupt result:\n%s", fleet.Format())
+	}
+}
+
+// fakeBackend listens on loopback and stands in for the backend at spec. It
+// answers the first session itself: it reads the assign and the whole
+// stream, then replies with a malformed backend-report payload. Every later
+// connection is relayed to spec unchanged. Cleanup waits for every
+// connection it served.
+func fakeBackend(t *testing.T, spec string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			serve := func() { relayConn(conn, spec) }
+			if first {
+				serve = func() { garbleSession(t, conn) }
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				serve()
+			}()
+		}
+	}()
+	return "tcp:" + ln.Addr().String()
+}
+
+func garbleSession(t *testing.T, conn net.Conn) {
+	defer conn.Close()
+	fr := tracelog.NewFrameReader(conn)
+	if kind, _, err := fr.Handshake(); err != nil || kind != tracelog.FrameAssign {
+		t.Errorf("fake backend handshake = %v, %v; want an assign", kind, err)
+		return
+	}
+	if _, err := io.Copy(io.Discard, fr); err != nil {
+		t.Errorf("fake backend stream: %v", err)
+		return
+	}
+	// A version byte and nothing after it: a truncated result.
+	if err := tracelog.NewFrameWriter(conn).BackendReport([]byte{1}); err != nil {
+		t.Errorf("fake backend reply: %v", err)
+	}
+}
+
+// relayConn pipes conn to and from a fresh connection to spec until either
+// side closes.
+func relayConn(conn net.Conn, spec string) {
+	defer conn.Close()
+	bc, err := ingest.DialSpec(spec)
+	if err != nil {
+		return
+	}
+	defer bc.Close()
+	done := make(chan struct{})
+	go func() {
+		io.Copy(bc, conn)
+		bc.Close()
+		close(done)
+	}()
+	io.Copy(conn, bc)
+	conn.Close()
+	<-done
 }
 
 // TestRouterQueries covers the router's query surface: the fleet aggregate

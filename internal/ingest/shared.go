@@ -192,7 +192,7 @@ type rollup struct {
 
 	col     *report.Collector            // merged reports as of the last merge; nil before it
 	sums    map[string]trace.ToolSummary // summed tool summaries as of the last merge
-	pending []*BackendResult             // reported sessions added since the last merge
+	pending []*tracelog.BackendResult    // reported sessions added since the last merge
 
 	// Compaction tallies (Config.FoldSiteCap): what the bounded retention
 	// fold has discarded from col.
@@ -203,7 +203,7 @@ type rollup struct {
 // add accounts one session: its lifecycle state and its outcome in the
 // per-session record shape — events, sampler drops, shed tools, and for a
 // reported session the collector and summaries merge picks up.
-func (r *rollup) add(st SessionState, res *BackendResult) {
+func (r *rollup) add(st SessionState, res *tracelog.BackendResult) {
 	r.sessions++
 	r.events += res.Events
 	r.sampledOut += res.SampledOut

@@ -8,20 +8,17 @@ package report
 // folding decoded collectors on the router is byte-identical to folding the
 // originals in one process.
 //
-// The decoder follows the metadata decoder's hostile-input discipline: no
-// allocation is sized from a claimed count or length without checking it
-// against the bytes actually remaining, and every string is interned
-// process-wide (tool names and shadow-state strings repeat across every
-// session a router ever sees).
+// The decoder reads through wire.Reader, the hostile-input rules shared with
+// the metadata and backend codecs, and interns every string process-wide
+// (tool names and shadow-state strings repeat across every session a router
+// ever sees).
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
-	"io"
+	"math"
 
-	"repro/internal/intern"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 const (
@@ -46,7 +43,7 @@ func (c *Collector) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(c.order)))
 	for _, k := range c.order {
 		w := c.sites[k]
-		b = appendWireString(b, k.Tool)
+		b = wire.AppendString(b, k.Tool)
 		b = append(b, byte(k.Kind))
 		b = append(b, k.Loc[:]...)
 		b = binary.AppendUvarint(b, uint64(uint32(w.Thread)))
@@ -57,16 +54,11 @@ func (c *Collector) AppendWire(b []byte) []byte {
 		b = append(b, byte(w.Access))
 		b = binary.AppendUvarint(b, uint64(uint32(w.Stack)))
 		b = binary.AppendUvarint(b, uint64(uint32(w.PrevStack)))
-		b = appendWireString(b, w.State)
+		b = wire.AppendString(b, w.State)
 		b = binary.AppendUvarint(b, uint64(w.Count))
 		b = binary.AppendUvarint(b, w.Seq)
 	}
 	return b
-}
-
-func appendWireString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // DecodeWire parses one AppendWire encoding into a fresh collector with no
@@ -74,143 +66,49 @@ func appendWireString(b []byte, s string) []byte {
 // renders with. The decoded collector merges (and manifests) exactly like
 // the original.
 func DecodeWire(payload []byte) (*Collector, error) {
-	r := bytes.NewReader(payload)
-	readU := func() (uint64, error) {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, fmt.Errorf("report: corrupt collector encoding: %w", io.ErrUnexpectedEOF)
-		}
-		return v, nil
+	r := wire.NewReader(payload, "report: collector encoding")
+	r.Version(wireVersion)
+	total, suppressed := r.Uint(1<<62), r.Uvarint()
+	if suppressed > total {
+		r.Failf("implausible totals %d/%d", suppressed, total)
 	}
-	var sbuf []byte
-	readS := func() (string, error) {
-		n, err := readU()
-		if err != nil {
-			return "", err
-		}
-		if n > maxWireString || n > uint64(r.Len()) {
-			return "", fmt.Errorf("report: corrupt collector string length %d", n)
-		}
-		if uint64(cap(sbuf)) < n {
-			sbuf = make([]byte, n)
-		}
-		sbuf = sbuf[:n]
-		if _, err := io.ReadFull(r, sbuf); err != nil {
-			return "", fmt.Errorf("report: corrupt collector encoding: %w", io.ErrUnexpectedEOF)
-		}
-		return intern.Bytes(sbuf), nil
-	}
-	readByte := func() (byte, error) {
-		v, err := r.ReadByte()
-		if err != nil {
-			return 0, fmt.Errorf("report: corrupt collector encoding: %w", io.ErrUnexpectedEOF)
-		}
-		return v, nil
-	}
-
-	ver, err := readByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != wireVersion {
-		return nil, fmt.Errorf("report: unsupported collector encoding version %d", ver)
-	}
-	total, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	suppressed, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	if total > 1<<62 || suppressed > total {
-		return nil, fmt.Errorf("report: implausible collector totals %d/%d", suppressed, total)
-	}
-	nsites, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	// Every encoded site consumes well over one byte; a count exceeding the
-	// remaining payload is corrupt, not just large.
-	if nsites > uint64(r.Len()) {
-		return nil, fmt.Errorf("report: collector claims %d sites in %d bytes", nsites, r.Len())
-	}
-
 	out := NewCollector(nil, nil)
 	out.total = int(total)
 	out.suppressed = int(suppressed)
-	for i := uint64(0); i < nsites; i++ {
+	for range r.Count(math.MaxUint64) {
 		var k SiteKey
-		if k.Tool, err = readS(); err != nil {
-			return nil, err
+		k.Tool = r.String(maxWireString)
+		if k.Kind = Kind(r.Byte()); k.Kind > KindHighLevel {
+			r.Failf("unknown warning kind %d", k.Kind)
 		}
-		kind, err := readByte()
-		if err != nil {
-			return nil, err
-		}
-		k.Kind = Kind(kind)
-		if _, err := io.ReadFull(r, k.Loc[:]); err != nil {
-			return nil, fmt.Errorf("report: corrupt collector encoding: %w", io.ErrUnexpectedEOF)
-		}
-		f, err := readN(readU, 5)
-		if err != nil {
-			return nil, err
-		}
-		access, err := readByte()
-		if err != nil {
-			return nil, err
-		}
-		g, err := readN(readU, 2)
-		if err != nil {
-			return nil, err
-		}
-		state, err := readS()
-		if err != nil {
-			return nil, err
-		}
-		h, err := readN(readU, 2)
-		if err != nil {
-			return nil, err
-		}
-		if h[0] > 1<<62 {
-			return nil, fmt.Errorf("report: implausible site count %d", h[0])
-		}
-		if _, dup := out.sites[k]; dup {
-			return nil, fmt.Errorf("report: duplicate site key in collector encoding")
-		}
+		copy(k.Loc[:], r.Bytes(len(k.Loc)))
+		// Fields in wire order: Go evaluates the calls left to right.
 		w := &Warning{
 			Tool:      k.Tool,
 			Kind:      k.Kind,
-			Thread:    trace.ThreadID(int32(uint32(f[0]))),
-			Addr:      trace.Addr(f[1]),
-			Block:     trace.BlockID(int32(uint32(f[2]))),
-			Off:       uint32(f[3]),
-			Size:      uint32(f[4]),
-			Access:    trace.AccessKind(access),
-			Stack:     trace.StackID(int32(uint32(g[0]))),
-			PrevStack: trace.StackID(int32(uint32(g[1]))),
-			State:     state,
-			Count:     int(h[0]),
-			Seq:       h[1],
+			Thread:    trace.ThreadID(int32(uint32(r.Uvarint()))),
+			Addr:      trace.Addr(r.Uvarint()),
+			Block:     trace.BlockID(int32(uint32(r.Uvarint()))),
+			Off:       uint32(r.Uvarint()),
+			Size:      uint32(r.Uvarint()),
+			Access:    trace.AccessKind(r.Byte()),
+			Stack:     trace.StackID(int32(uint32(r.Uvarint()))),
+			PrevStack: trace.StackID(int32(uint32(r.Uvarint()))),
+			State:     r.String(maxWireString),
+			Count:     int(r.Uint(1 << 62)),
+			Seq:       r.Uvarint(),
+		}
+		if w.Access > trace.Write {
+			r.Failf("unknown access kind %d", w.Access)
+		}
+		if _, dup := out.sites[k]; dup {
+			r.Failf("duplicate site key")
 		}
 		out.sites[k] = w
 		out.order = append(out.order, k)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("report: %d trailing byte(s) after collector encoding", r.Len())
-	}
-	return out, nil
-}
-
-// readN reads n consecutive uvarints.
-func readN(readU func() (uint64, error), n int) ([]uint64, error) {
-	out := make([]uint64, n)
-	for i := range out {
-		v, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

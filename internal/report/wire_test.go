@@ -1,6 +1,9 @@
 package report
 
 import (
+	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -88,6 +91,23 @@ func TestWireHostileInputs(t *testing.T) {
 	if _, err := DecodeWire(bad); err == nil {
 		t.Error("unknown version accepted")
 	}
+	// Out-of-range enums: a warning kind past KindHighLevel and an access
+	// kind past Write. Site layout: [ver][total][suppressed][nsites]
+	// [tool len][tool][kind][loc 16][thread][addr][block][off][size][access]...
+	c1 := NewCollector(nil, nil)
+	c1.Add(Warning{Tool: "t", Kind: KindRace, Stack: 1})
+	site1 := c1.AppendWire(nil)
+	kindAt := 4 + 1 + len("t")
+	badKind := append([]byte(nil), site1...)
+	badKind[kindAt] = 200
+	if _, err := DecodeWire(badKind); err == nil {
+		t.Error("out-of-range warning kind accepted")
+	}
+	badAccess := append([]byte(nil), site1...)
+	badAccess[kindAt+1+16+5] = byte(trace.Write) + 1
+	if _, err := DecodeWire(badAccess); err == nil {
+		t.Error("out-of-range access kind accepted")
+	}
 	// A claimed site count far beyond the payload.
 	hostile := []byte{wireVersion}
 	hostile = append(hostile, 0, 0)             // total, suppressed
@@ -110,4 +130,52 @@ func TestWireHostileInputs(t *testing.T) {
 	if _, err := DecodeWire(dup); err == nil {
 		t.Error("duplicate site key accepted")
 	}
+}
+
+// FuzzCollectorDifferential holds the wire.Reader collector decoder to the
+// bytes.Reader decoder it replaced: for every payload both accept or both
+// reject, and an accepted payload decodes to a collector with the same
+// totals, the same exemplars, the same Manifest and the same Format. Seeds
+// are the round-trip fixtures with every truncation prefix and every
+// single-bit flip, plus the hostile cases above.
+func FuzzCollectorDifferential(f *testing.F) {
+	for _, c := range []*Collector{wireCollector(), NewCollector(nil, nil)} {
+		good := c.AppendWire(nil)
+		for i := range good {
+			f.Add(good[:i])
+			for bit := 0; bit < 8; bit++ {
+				mut := bytes.Clone(good)
+				mut[i] ^= 1 << bit
+				f.Add(mut)
+			}
+		}
+		f.Add(good)
+	}
+	f.Add([]byte{wireVersion, 0, 0, 0xFF, 0xFF, 0x7F})                                     // absurd site count
+	f.Add([]byte{wireVersion, 1, 2, 0})                                                    // suppressed > total
+	f.Add([]byte{wireVersion, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}) // overlong varint
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, gerr := DecodeWire(payload)
+		want, werr := refDecodeWire(payload)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("decoders disagree on %x: got err %v, reference err %v", payload, gerr, werr)
+		}
+		if gerr != nil {
+			if !strings.HasPrefix(gerr.Error(), "report: ") {
+				t.Errorf("error %q lacks the report: prefix", gerr)
+			}
+			return
+		}
+		if got.total != want.total || got.suppressed != want.suppressed ||
+			got.Locations() != want.Locations() || got.Occurrences() != want.Occurrences() {
+			t.Fatalf("totals differ on %x", payload)
+		}
+		if !reflect.DeepEqual(got.Sites(), want.Sites()) || !reflect.DeepEqual(got.Keys(), want.Keys()) {
+			t.Fatalf("sites differ on %x", payload)
+		}
+		if got.Manifest() != want.Manifest() || got.Format() != want.Format() {
+			t.Fatalf("rendering differs on %x:\n%s\nvs\n%s", payload, got.Format(), want.Format())
+		}
+	})
 }

@@ -11,16 +11,14 @@ package tracelog
 // the recording VM in hand.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
+	"math"
 	"sort"
 	"sync"
 
-	"repro/internal/intern"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Metadata decoding bounds, in the spirit of the decoder's corruption bounds:
@@ -65,12 +63,6 @@ func (md *Metadata) Empty() bool {
 	return md == nil || (len(md.Stacks) == 0 && len(md.Blocks) == 0)
 }
 
-// appendMetaString appends a length-prefixed string.
-func appendMetaString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // encodeStackEntry and encodeBlockEntry are the per-entry encodings. They
 // are shared between the chunk writer and TableResolver.AddMetadata so that
 // "which entries are sendable" (maxMetadataEntry) is decided identically on
@@ -81,8 +73,8 @@ func encodeStackEntry(id trace.StackID, frames []trace.Frame) []byte {
 	e := binary.AppendUvarint(nil, uint64(id))
 	e = binary.AppendUvarint(e, uint64(len(frames)))
 	for _, f := range frames {
-		e = appendMetaString(e, f.Fn)
-		e = appendMetaString(e, f.File)
+		e = wire.AppendString(e, f.Fn)
+		e = wire.AppendString(e, f.File)
 		e = binary.AppendUvarint(e, uint64(f.Line))
 	}
 	return e
@@ -95,7 +87,7 @@ func encodeBlockEntry(id trace.BlockID, blk trace.Block) []byte {
 	e = binary.AppendUvarint(e, uint64(blk.Thread))
 	e = binary.AppendUvarint(e, uint64(blk.Stack))
 	e = binary.AppendUvarint(e, b2u(blk.Freed))
-	return appendMetaString(e, blk.Tag)
+	return wire.AppendString(e, blk.Tag)
 }
 
 // encodeMetadataChunks serialises the tables into one or more standalone
@@ -160,38 +152,11 @@ func encodeMetadataChunks(md *Metadata) [][]byte {
 }
 
 // decodeMetadata parses one metadata frame payload. It never allocates from
-// a claimed count: counts are sanity-checked against the bytes actually
-// remaining (every entry consumes at least one byte). Strings are interned
-// through the process-wide table, so the symbol vocabulary shared by
-// concurrent sessions from the same instrumented binary is stored once.
+// a claimed count (see wire.Reader). Strings are interned through the
+// process-wide table, so the symbol vocabulary shared by concurrent sessions
+// from the same instrumented binary is stored once.
 func decodeMetadata(payload []byte) (*Metadata, error) {
-	r := bytes.NewReader(payload)
-	readU := func() (uint64, error) {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, fmt.Errorf("tracelog: corrupt metadata frame: %w", io.ErrUnexpectedEOF)
-		}
-		return v, nil
-	}
-	var sbuf []byte
-	readS := func() (string, error) {
-		n, err := readU()
-		if err != nil {
-			return "", err
-		}
-		if n > maxTagLen || n > uint64(r.Len()) {
-			return "", fmt.Errorf("tracelog: corrupt metadata string length %d", n)
-		}
-		if uint64(cap(sbuf)) < n {
-			sbuf = make([]byte, n)
-		}
-		sbuf = sbuf[:n]
-		if _, err := io.ReadFull(r, sbuf); err != nil {
-			return "", fmt.Errorf("tracelog: corrupt metadata frame: %w", io.ErrUnexpectedEOF)
-		}
-		return intern.Bytes(sbuf), nil
-	}
-
+	r := wire.NewReader(payload, "tracelog: metadata frame")
 	md := &Metadata{
 		Stacks:   make(map[trace.StackID][]trace.Frame),
 		Blocks:   make(map[trace.BlockID]trace.Block),
@@ -201,78 +166,36 @@ func decodeMetadata(payload []byte) (*Metadata, error) {
 	// entry exceeds maxMetadataEntry (possible only from a foreign encoder —
 	// ours never emits one), the fragment loses its sendable mark and
 	// AddMetadata re-filters it.
-	entryStart := 0
-	entryDone := func() {
-		if entryStart-r.Len() > maxMetadataEntry {
+	entryDone := func(start int) {
+		if start-r.Len() > maxMetadataEntry {
 			md.sendable = false
 		}
 	}
-	nstacks, err := readU()
-	if err != nil {
-		return nil, err
+	for range r.Count(math.MaxUint64) {
+		start := r.Len()
+		id := trace.StackID(r.Uvarint())
+		nframes := r.Count(maxStackFrames)
+		frames := make([]trace.Frame, 0, min(nframes, 64))
+		for range nframes {
+			frames = append(frames, trace.Frame{
+				Fn: r.String(maxTagLen), File: r.String(maxTagLen), Line: int(r.Uvarint()),
+			})
+		}
+		md.Stacks[id] = frames
+		entryDone(start)
 	}
-	if nstacks > uint64(r.Len()) {
-		return nil, fmt.Errorf("tracelog: metadata claims %d stacks in %d bytes", nstacks, r.Len())
-	}
-	for i := uint64(0); i < nstacks; i++ {
-		entryStart = r.Len()
-		id, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		nframes, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		if nframes > maxStackFrames {
-			return nil, fmt.Errorf("tracelog: metadata stack with %d frames", nframes)
-		}
-		frames := make([]trace.Frame, 0, min(int(nframes), 64))
-		for j := uint64(0); j < nframes; j++ {
-			fn, err := readS()
-			if err != nil {
-				return nil, err
-			}
-			file, err := readS()
-			if err != nil {
-				return nil, err
-			}
-			line, err := readU()
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, trace.Frame{Fn: fn, File: file, Line: int(line)})
-		}
-		md.Stacks[trace.StackID(id)] = frames
-		entryDone()
-	}
-	nblocks, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	if nblocks > uint64(r.Len()) {
-		return nil, fmt.Errorf("tracelog: metadata claims %d blocks in %d bytes", nblocks, r.Len())
-	}
-	for i := uint64(0); i < nblocks; i++ {
-		entryStart = r.Len()
-		f, err := readN(readU, 6)
-		if err != nil {
-			return nil, err
-		}
-		tag, err := readS()
-		if err != nil {
-			return nil, err
-		}
-		id := trace.BlockID(f[0])
+	for range r.Count(math.MaxUint64) {
+		start := r.Len()
+		id := trace.BlockID(r.Uvarint())
 		md.Blocks[id] = trace.Block{
-			ID: id, Base: trace.Addr(f[1]), Size: uint32(f[2]),
-			Thread: trace.ThreadID(f[3]), Stack: trace.StackID(f[4]),
-			Freed: f[5] != 0, Tag: tag,
+			ID: id, Base: trace.Addr(r.Uvarint()), Size: uint32(r.Uvarint()),
+			Thread: trace.ThreadID(r.Uvarint()), Stack: trace.StackID(r.Uvarint()),
+			Freed: r.Uvarint() != 0, Tag: r.String(maxTagLen),
 		}
-		entryDone()
+		entryDone(start)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("tracelog: %d trailing byte(s) after metadata tables", r.Len())
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return md, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
@@ -217,4 +218,60 @@ func TestMetadataCorrupt(t *testing.T) {
 			t.Errorf("%s: corrupt metadata accepted", name)
 		}
 	}
+}
+
+// FuzzMetadataDifferential holds the wire.Reader metadata decoder to the
+// bytes.Reader decoder it replaced: for every payload both accept or both
+// reject, and an accepted payload decodes to the same stack and block
+// tables with the same sendable mark. Seeds are the round-trip fixtures
+// with every truncation prefix and every single-bit flip, plus
+// FuzzFramedStream's metadata seeds.
+func FuzzMetadataDifferential(f *testing.F) {
+	md := sampleMetadata()
+	md.Stacks[9] = []trace.Frame{}
+	for _, chunk := range tracelog.EncodeMetadataChunks(md) {
+		for i := range chunk {
+			f.Add(chunk[:i])
+			for bit := 0; bit < 8; bit++ {
+				mut := bytes.Clone(chunk)
+				mut[i] ^= 1 << bit
+				f.Add(mut)
+			}
+		}
+		f.Add(chunk)
+	}
+	sm := scenario.Generate(scenario.GenConfig{Seed: 54321})
+	v, _, err := scenario.Record(sm, true, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, chunk := range tracelog.EncodeMetadataChunks(scenario.CaptureMetadata(v)) {
+		f.Add(chunk)
+		f.Add(chunk[:len(chunk)*2/3])
+		mut := bytes.Clone(chunk)
+		mut[len(mut)/4] ^= 0xff
+		f.Add(mut)
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})       // absurd stack count
+	f.Add([]byte{1, 1, 0xff, 0xff, 0xff, 0x0f})       // absurd frame count
+	f.Add([]byte{1, 1, 1, 10, 'x'})                   // truncated string
+	f.Add([]byte{0, 0, 1, 2, 3})                      // trailing bytes after tables
+	f.Add([]byte{0, 1, 1, 0, 0, 0, 0, 0, 0xff, 0x7f}) // tag length past the payload
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, gerr := tracelog.DecodeMetadata(payload)
+		want, werr := tracelog.RefDecodeMetadata(payload)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("decoders disagree on %x: got err %v, reference err %v", payload, gerr, werr)
+		}
+		if gerr != nil {
+			if !strings.HasPrefix(gerr.Error(), "tracelog: ") {
+				t.Errorf("error %q lacks the tracelog: prefix", gerr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoders disagree on %x:\ngot  %+v\nwant %+v", payload, got, want)
+		}
+	})
 }

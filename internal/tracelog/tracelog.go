@@ -202,17 +202,3 @@ func Replay(rd io.Reader, sinks ...trace.Sink) (int64, error) {
 		}
 	}
 }
-
-// readN collects n uvarint fields through the given read callback, for the
-// cold metadata decode; the event decode hot path is Decoder.parse.
-func readN(read func() (uint64, error), n int) ([]uint64, error) {
-	out := make([]uint64, n)
-	for i := range out {
-		v, err := read()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
