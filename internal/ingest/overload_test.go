@@ -448,15 +448,22 @@ func TestFoldSiteCapCompaction(t *testing.T) {
 		}
 		c.Close()
 	}
-	// Folding runs on the handler goroutine after report delivery; poll.
+	// Folding runs on the handler goroutine after report delivery; poll
+	// until both folds (three sessions, one retained) have landed. An
+	// earlier aggregate can already show the first fold's compaction while
+	// the second is still to come, and the metric read below would then see
+	// a later instant than the aggregate.
 	deadline := time.Now().Add(10 * time.Second)
 	var agg *ingest.Aggregate
 	for {
 		agg = srv.Aggregate()
-		if agg.CompactedSites > 0 || time.Now().After(deadline) {
+		if agg.Folded == 2 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if agg.Folded != 2 {
+		t.Fatalf("folded = %d, want 2 (3 sessions - 1 retained)", agg.Folded)
 	}
 	if agg.CompactedSites == 0 {
 		t.Fatal("fold site cap 1 over three distinct buggy sessions compacted nothing")

@@ -20,8 +20,8 @@ import (
 	"fmt"
 
 	"repro/internal/report"
-	"repro/internal/segments"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // BusModel selects how the x86 LOCK prefix (hardware bus lock) is emulated.
@@ -65,10 +65,11 @@ type Config struct {
 	// ThreadSegments enables the Visual Threads segment refinement. When
 	// false, EXCLUSIVE ownership is per-thread, as in original Eraser.
 	ThreadSegments bool
-	// Mask selects which segment edges count for happens-before. Helgrind
-	// understands program order and create/join (trace.MaskHelgrind);
-	// trace.MaskFull adds queue/cond/sem edges — the future-work extension
-	// that removes the Fig. 11 thread-pool false positives.
+	// Mask selects which queue/cond/sem segment edges count for
+	// happens-before; Program, Create and Join are always honoured, which is
+	// all Helgrind understands (trace.MaskHelgrind). trace.MaskFull adds the
+	// future-work extension that removes the Fig. 11 thread-pool false
+	// positives.
 	Mask trace.EdgeMask
 	// Granule is the shadow-state granularity in bytes (default 4).
 	Granule int
@@ -215,17 +216,17 @@ type threadLocks struct {
 	curSeg trace.SegmentID
 }
 
-// Detector is the lock-set race detector tool. Per-thread state lives in a
-// flat slice indexed through a dense ID remapper; block shadow is a
-// trace.Shadow, recycled when the block is freed, so shadow memory tracks the
-// live heap rather than the allocation history.
+// Detector is the lock-set race detector tool. Thread segments are ordered
+// by vclock.HB, and per-thread state lives in a flat slice indexed by HB's
+// dense thread number; block shadow is a trace.Shadow, recycled when the
+// block is freed, so shadow memory tracks the live heap rather than the
+// allocation history.
 type Detector struct {
 	trace.BaseSink
 	cfg     Config
 	sets    *SetTable
-	graph   *segments.Graph
+	hb      vclock.HB // not embedded: it is fed only ThreadStart and Segment
 	col     trace.Reporter
-	thIx    trace.Dense
 	threads []threadLocks
 	shadow  trace.Shadow[gran]
 	races   int // dynamic race reports, pre-dedup
@@ -233,7 +234,7 @@ type Detector struct {
 
 // Spec registers the detector with the analysis engine's tool registry.
 // Each call of its Factory builds an independent detector owning all of its
-// state (set table, segment graph, shadow memory). The detector is
+// state (set table, segment clocks, shadow memory). The detector is
 // block-routed: it is one of the paper's core detectors, which the overload
 // ladder never sheds.
 func Spec(cfg Config) trace.ToolSpec {
@@ -249,10 +250,10 @@ func Spec(cfg Config) trace.ToolSpec {
 func New(cfg Config, col trace.Reporter) *Detector {
 	cfg = cfg.withDefaults()
 	return &Detector{
-		cfg:   cfg,
-		sets:  NewSetTable(),
-		graph: segments.NewGraph(cfg.Mask),
-		col:   col,
+		cfg:  cfg,
+		sets: NewSetTable(),
+		hb:   vclock.HB{Edges: cfg.Mask},
+		col:  col,
 	}
 }
 
@@ -270,7 +271,7 @@ func (d *Detector) Sets() *SetTable { return d.sets }
 func (d *Detector) DynamicRaces() int { return d.races }
 
 func (d *Detector) thread(id trace.ThreadID) *threadLocks {
-	ti := d.thIx.Index(int32(id))
+	ti := d.hb.Thread(id)
 	for len(d.threads) <= ti {
 		d.threads = append(d.threads, threadLocks{Held: NewHeld(d.sets)})
 	}
@@ -287,9 +288,12 @@ func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _
 	d.thread(t).Release(d.sets, l)
 }
 
+// ThreadStart implements trace.Sink: it carries the create edge.
+func (d *Detector) ThreadStart(t, parent trace.ThreadID) { d.hb.ThreadStart(t, parent) }
+
 // Segment implements trace.Sink.
 func (d *Detector) Segment(ss *trace.SegmentStart) {
-	d.graph.Add(ss)
+	d.hb.Segment(ss)
 	d.thread(ss.Thread).curSeg = ss.Seg
 }
 
@@ -330,7 +334,7 @@ func (d *Detector) step(g *gran, a *trace.Access, anyM, wrM SetID) {
 			g.ownerSeg = a.Seg
 			return
 		}
-		if d.cfg.ThreadSegments && d.graph.HappensBefore(g.ownerSeg, a.Seg) {
+		if d.cfg.ThreadSegments && d.hb.SegmentBefore(g.ownerSeg, a.Seg) {
 			// Visual Threads refinement: non-overlapping segments keep the
 			// location exclusive; the new segment becomes the owner.
 			g.ownerTh = a.Thread

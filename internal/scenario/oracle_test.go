@@ -16,6 +16,7 @@ import (
 	"repro/internal/sipp"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
+	"repro/internal/vclock"
 	"repro/internal/vectorclock"
 )
 
@@ -25,7 +26,10 @@ import (
 // warnings and, for DJIT, the same dynamic race count. The configurations
 // include ones the golden report digests never run: DJIT without lock edges,
 // with the Helgrind edge mask, reporting every race and at a one-byte
-// granule; the hybrid under each bus model and the Helgrind mask.
+// granule; the hybrid under each bus model and the Helgrind mask. The same
+// replay checks the lock-set detector's segment ordering: vclock.HB, fed
+// only thread starts and segments, must order every pair of segments as the
+// segment graph it replaced (refGraph) does, under both edge masks.
 //
 // A fuzz input is a (generator seed, scheduler seed) pair; the buggy and the
 // control variant of the scenario are both replayed. The seed corpus is the
@@ -105,12 +109,50 @@ type oraclePair struct {
 	prodW, refW warnLog
 }
 
+// segOrder replays a log's thread starts and segments into vclock.HB, fed
+// exactly what the lock-set detector feeds it, and into refGraph.
+type segOrder struct {
+	trace.BaseSink
+	hb   vclock.HB
+	ref  *refGraph
+	segs []trace.SegmentID
+}
+
+func (s *segOrder) ToolName() string                     { return "seg-order" }
+func (s *segOrder) ThreadStart(t, parent trace.ThreadID) { s.hb.ThreadStart(t, parent) }
+func (s *segOrder) Segment(ss *trace.SegmentStart) {
+	s.hb.Segment(ss)
+	s.ref.Add(ss)
+	s.segs = append(s.segs, ss.Seg)
+}
+
+// check compares the two orderings of every pair of segments, a segment
+// with itself included.
+func (s *segOrder) check(t *testing.T, input string) {
+	t.Helper()
+	for _, a := range s.segs {
+		for _, b := range s.segs {
+			if got, want := s.hb.SegmentBefore(a, b), s.ref.HappensBefore(a, b); got != want {
+				t.Errorf("%s, mask %#x: HB orders segment %d before %d: %v, refGraph: %v", input, s.ref.Mask(), a, b, got, want)
+				return
+			}
+		}
+	}
+}
+
 // checkOracles replays log once through every production/oracle pair and
-// compares their warnings and dynamic race counts.
+// compares their warnings and dynamic race counts, and the segment ordering
+// under both edge masks.
 func checkOracles(t *testing.T, input string, log []byte) {
 	t.Helper()
 	var pairs []*oraclePair
 	var sinks []trace.Sink
+	var orders []*segOrder
+	for _, mask := range []trace.EdgeMask{trace.MaskHelgrind, trace.MaskFull} {
+		o := &segOrder{hb: vclock.HB{Edges: mask}, ref: newRefGraph(mask)}
+		orders = append(orders, o)
+		sinks = append(sinks, o)
+	}
 	for _, cfg := range oracleDJITConfigs {
 		p := &oraclePair{cfg: fmt.Sprintf("djit %+v", cfg)}
 		p.prod, p.ref = vectorclock.New(cfg, &p.prodW), newRefDJIT(cfg, &p.refW)
@@ -125,6 +167,9 @@ func checkOracles(t *testing.T, input string, log []byte) {
 	}
 	if _, err := tracelog.Replay(bytes.NewReader(log), sinks...); err != nil {
 		t.Fatalf("%s: replay: %v", input, err)
+	}
+	for _, o := range orders {
+		o.check(t, input)
 	}
 	type dynamic interface{ DynamicRaces() int }
 	for _, p := range pairs {

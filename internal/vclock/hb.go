@@ -2,11 +2,17 @@ package vclock
 
 import "repro/internal/trace"
 
-// HB is the happens-before core of the DJIT and hybrid detectors: one vector
-// clock per thread, advanced by the synchronisation events of the stream.
-// Thread create and join always order; release->acquire on locks orders when
-// LockEdges is set; queue, condition and semaphore operations order when
-// Edges has their kind.
+// HB is the happens-before core of the DJIT, hybrid and lock-set detectors:
+// one vector clock per thread, advanced by the synchronisation events of the
+// stream. Thread create and join always order; release->acquire on locks
+// orders when LockEdges is set; queue, condition and semaphore operations
+// order when Edges has their kind.
+//
+// SegmentBefore orders thread segments (Fig. 2) for the lock-set detector,
+// which feeds HB only ThreadStart and Segment: lock edges would order every
+// lock-protected handoff and so hide the lock-discipline violations lock-sets
+// exist to find, and the VM already carries each queue/cond/sem operation as
+// a segment edge, so Sync events would add no segment ordering.
 //
 // All per-ID state lives in flat slices behind dense remappers (threads,
 // locks, condition/semaphore objects, segments), and clock components are
@@ -14,8 +20,8 @@ import "repro/internal/trace"
 // count. Lock and message clocks recycle their arrays instead of cloning
 // fresh ones.
 //
-// HB implements the synchronisation callbacks of trace.Sink; a detector
-// embeds it and adds Access and its shadow memory.
+// HB implements the synchronisation callbacks of trace.Sink; DJIT and the
+// hybrid embed it and add Access and their shadow memory.
 type HB struct {
 	trace.BaseSink
 	// Edges selects which synchronisation edges establish happens-before.
@@ -31,7 +37,8 @@ type HB struct {
 	threads []VC
 	locks   []VC
 	syncs   []VC
-	segs    []VC // clocks captured at segment starts
+	segs    []VC    // clocks captured at segment starts
+	segTh   []int32 // dense thread index of each segment in segs
 	msgs    map[int64]VC
 	pool    []VC // retired message clocks, reused on the next put
 }
@@ -53,9 +60,10 @@ func (h *HB) Now(ti int) VC { return h.threads[ti] }
 
 // grow extends *s to cover index i. It writes *s only when it grows, so the
 // per-event callers store nothing in the common case.
-func grow(s *[]VC, i int) {
+func grow[T any](s *[]T, i int) {
 	for len(*s) <= i {
-		*s = append(*s, nil)
+		var zero T
+		*s = append(*s, zero)
 	}
 }
 
@@ -96,7 +104,24 @@ func (h *HB) Segment(ss *trace.SegmentStart) {
 	h.threads[ti] = me
 	si := h.segIx.Index(int32(ss.Seg))
 	grow(&h.segs, si)
+	grow(&h.segTh, si)
 	h.segs[si] = CopyInto(h.segs[si], me)
+	h.segTh[si] = int32(ti)
+}
+
+// SegmentBefore reports whether segment a happens-before segment b: b's
+// starting clock has seen a's own tick. A segment is not before itself, and
+// a segment HB has not seen is ordered with nothing.
+func (h *HB) SegmentBefore(a, b trace.SegmentID) bool {
+	if a == b {
+		return false
+	}
+	ai, bi := h.segIx.Lookup(int32(a)), h.segIx.Lookup(int32(b))
+	if ai < 0 || bi < 0 {
+		return false
+	}
+	th := h.segTh[ai]
+	return h.segs[bi].Get(int(th)) >= h.segs[ai][th]
 }
 
 // Acquire implements trace.Sink: the lock's clock joins the thread's.

@@ -1,4 +1,4 @@
-package segments
+package vclock
 
 import (
 	"math/rand"
@@ -8,17 +8,29 @@ import (
 	"repro/internal/trace"
 )
 
+// The tests below feed HB what the lock-set detector feeds it — thread
+// starts and segments, no lock or Sync events — and check the thread-segment
+// ordering of Fig. 2 that SegmentBefore answers. Each child thread gets the
+// ThreadStart the VM emits before the child's first segment.
+
 func seg(id trace.SegmentID, th trace.ThreadID, in ...trace.SegmentEdge) *trace.SegmentStart {
 	return &trace.SegmentStart{Seg: id, Thread: th, In: in}
 }
 
+// ordered reports whether the two segments are ordered either way.
+func ordered(h *HB, a, b trace.SegmentID) bool {
+	return a == b || h.SegmentBefore(a, b) || h.SegmentBefore(b, a)
+}
+
 func TestCreateJoinOrdering(t *testing.T) {
-	g := NewGraph(trace.MaskHelgrind)
+	h := &HB{Edges: trace.MaskHelgrind}
 	// Fig. 2: main TS1, create -> child TS3 + main TS2, join -> main TS4.
-	g.Add(seg(1, 1))
-	g.Add(seg(3, 2, trace.SegmentEdge{From: 1, Kind: trace.Create}))
-	g.Add(seg(2, 1, trace.SegmentEdge{From: 1, Kind: trace.Program}))
-	g.Add(seg(4, 1,
+	h.ThreadStart(1, 0)
+	h.Segment(seg(1, 1))
+	h.ThreadStart(2, 1)
+	h.Segment(seg(3, 2, trace.SegmentEdge{From: 1, Kind: trace.Create}))
+	h.Segment(seg(2, 1, trace.SegmentEdge{From: 1, Kind: trace.Program}))
+	h.Segment(seg(4, 1,
 		trace.SegmentEdge{From: 2, Kind: trace.Program},
 		trace.SegmentEdge{From: 3, Kind: trace.Join}))
 
@@ -36,57 +48,84 @@ func TestCreateJoinOrdering(t *testing.T) {
 		{2, 4, true},
 	}
 	for _, c := range cases {
-		if got := g.HappensBefore(c.a, c.b); got != c.want {
-			t.Errorf("HappensBefore(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
+		if got := h.SegmentBefore(c.a, c.b); got != c.want {
+			t.Errorf("SegmentBefore(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
-	if g.Ordered(2, 3) {
+	if ordered(h, 2, 3) {
 		t.Error("2 and 3 must be concurrent")
 	}
-	if !g.Ordered(1, 4) {
+	if !ordered(h, 1, 4) {
 		t.Error("1 and 4 must be ordered")
 	}
 }
 
+// TestCreateOrderFromThreadStart pins where HB takes create ordering from:
+// the ThreadStart event, never a segment's Create in-edge. The VM always
+// emits the ThreadStart before the child's first segment, so on VM traces
+// the two agree; on a hand-built trace that carries the Create edge but
+// starts the child with no parent, HB leaves the segments concurrent (the
+// segment graph HB replaced ordered them by the edge).
+func TestCreateOrderFromThreadStart(t *testing.T) {
+	for _, parent := range []trace.ThreadID{0, 1} {
+		h := &HB{Edges: trace.MaskFull}
+		h.ThreadStart(1, 0)
+		h.Segment(seg(1, 1))
+		h.ThreadStart(2, parent)
+		h.Segment(seg(2, 2, trace.SegmentEdge{From: 1, Kind: trace.Create}))
+		if got, want := h.SegmentBefore(1, 2), parent != 0; got != want {
+			t.Errorf("ThreadStart(2, %d): SegmentBefore(1,2) = %v, want %v", parent, got, want)
+		}
+		if h.SegmentBefore(2, 1) {
+			t.Errorf("ThreadStart(2, %d): child ordered before its parent", parent)
+		}
+	}
+}
+
 func TestMaskFiltersQueueEdges(t *testing.T) {
-	build := func(mask trace.EdgeMask) *Graph {
-		g := NewGraph(mask)
-		g.Add(seg(1, 1))                                                  // producer pre-put
-		g.Add(seg(2, 2))                                                  // consumer pre-get
-		g.Add(seg(3, 1, trace.SegmentEdge{From: 1, Kind: trace.Program})) // producer post-put
-		g.Add(seg(4, 2,
+	build := func(mask trace.EdgeMask) *HB {
+		h := &HB{Edges: mask}
+		h.ThreadStart(1, 0)
+		h.ThreadStart(2, 0)
+		h.Segment(seg(1, 1))                                                  // producer pre-put
+		h.Segment(seg(2, 2))                                                  // consumer pre-get
+		h.Segment(seg(3, 1, trace.SegmentEdge{From: 1, Kind: trace.Program})) // producer post-put
+		h.Segment(seg(4, 2,
 			trace.SegmentEdge{From: 2, Kind: trace.Program},
 			trace.SegmentEdge{From: 1, Kind: trace.Queue})) // consumer post-get
-		return g
+		return h
 	}
 	helgrind := build(trace.MaskHelgrind)
-	if helgrind.HappensBefore(1, 4) {
+	if helgrind.SegmentBefore(1, 4) {
 		t.Error("Helgrind mask must ignore queue edges (Fig. 11 false positive)")
 	}
 	full := build(trace.MaskFull)
-	if !full.HappensBefore(1, 4) {
+	if !full.SegmentBefore(1, 4) {
 		t.Error("full mask must honour queue edges")
 	}
 }
 
 func TestSelfNotOrdered(t *testing.T) {
-	g := NewGraph(trace.MaskFull)
-	g.Add(seg(1, 1))
-	if g.HappensBefore(1, 1) {
+	h := &HB{Edges: trace.MaskFull}
+	h.ThreadStart(1, 0)
+	h.Segment(seg(1, 1))
+	if h.SegmentBefore(1, 1) {
 		t.Error("a segment must not happen-before itself")
 	}
-	if !g.Ordered(1, 1) {
+	if !ordered(h, 1, 1) {
 		t.Error("a segment is trivially ordered with itself")
 	}
 }
 
 func TestUnknownSegments(t *testing.T) {
-	g := NewGraph(trace.MaskFull)
-	if g.HappensBefore(5, 6) {
+	h := &HB{Edges: trace.MaskFull}
+	if h.SegmentBefore(5, 6) {
 		t.Error("unknown segments must not be ordered")
 	}
-	if g.Thread(5) != 0 {
-		t.Error("unknown segment thread must be 0")
+	h.ThreadStart(1, 0)
+	h.Segment(seg(1, 1))
+	if h.SegmentBefore(1, 5) || h.SegmentBefore(5, 1) {
+		t.Error("an unknown segment must not be ordered with a known one")
 	}
 }
 
@@ -94,16 +133,17 @@ func TestUnknownSegments(t *testing.T) {
 // is always transitively respected and that happens-before is antisymmetric.
 func TestChainProperty(t *testing.T) {
 	prop := func(lengths []uint8) bool {
-		g := NewGraph(trace.MaskHelgrind)
+		h := &HB{Edges: trace.MaskHelgrind}
+		h.ThreadStart(1, 0)
 		id := trace.SegmentID(1)
 		var prev trace.SegmentID
 		var chain []trace.SegmentID
 		n := len(lengths)%20 + 2
 		for i := 0; i < n; i++ {
 			if prev == 0 {
-				g.Add(seg(id, 1))
+				h.Segment(seg(id, 1))
 			} else {
-				g.Add(seg(id, 1, trace.SegmentEdge{From: prev, Kind: trace.Program}))
+				h.Segment(seg(id, 1, trace.SegmentEdge{From: prev, Kind: trace.Program}))
 			}
 			chain = append(chain, id)
 			prev = id
@@ -111,10 +151,10 @@ func TestChainProperty(t *testing.T) {
 		}
 		for i := 0; i < len(chain); i++ {
 			for j := i + 1; j < len(chain); j++ {
-				if !g.HappensBefore(chain[i], chain[j]) {
+				if !h.SegmentBefore(chain[i], chain[j]) {
 					return false
 				}
-				if g.HappensBefore(chain[j], chain[i]) {
+				if h.SegmentBefore(chain[j], chain[i]) {
 					return false
 				}
 			}
@@ -129,47 +169,52 @@ func TestChainProperty(t *testing.T) {
 func TestDiamondForkJoin(t *testing.T) {
 	// main forks two children; both join back. Children concurrent with each
 	// other; everything ordered with pre-fork and post-join.
-	g := NewGraph(trace.MaskHelgrind)
-	g.Add(seg(1, 1))                                                  // main pre-fork
-	g.Add(seg(2, 2, trace.SegmentEdge{From: 1, Kind: trace.Create}))  // child A
-	g.Add(seg(3, 1, trace.SegmentEdge{From: 1, Kind: trace.Program})) // main between forks
-	g.Add(seg(4, 3, trace.SegmentEdge{From: 3, Kind: trace.Create}))  // child B
-	g.Add(seg(5, 1, trace.SegmentEdge{From: 3, Kind: trace.Program})) // main after forks
-	g.Add(seg(6, 1,
+	h := &HB{Edges: trace.MaskHelgrind}
+	h.ThreadStart(1, 0)
+	h.Segment(seg(1, 1)) // main pre-fork
+	h.ThreadStart(2, 1)
+	h.Segment(seg(2, 2, trace.SegmentEdge{From: 1, Kind: trace.Create}))  // child A
+	h.Segment(seg(3, 1, trace.SegmentEdge{From: 1, Kind: trace.Program})) // main between forks
+	h.ThreadStart(3, 1)
+	h.Segment(seg(4, 3, trace.SegmentEdge{From: 3, Kind: trace.Create}))  // child B
+	h.Segment(seg(5, 1, trace.SegmentEdge{From: 3, Kind: trace.Program})) // main after forks
+	h.Segment(seg(6, 1,
 		trace.SegmentEdge{From: 5, Kind: trace.Program},
 		trace.SegmentEdge{From: 2, Kind: trace.Join})) // joined A
-	g.Add(seg(7, 1,
+	h.Segment(seg(7, 1,
 		trace.SegmentEdge{From: 6, Kind: trace.Program},
 		trace.SegmentEdge{From: 4, Kind: trace.Join})) // joined B
 
-	if g.Ordered(2, 4) {
+	if ordered(h, 2, 4) {
 		t.Error("children must be concurrent")
 	}
 	for _, s := range []trace.SegmentID{2, 4} {
-		if !g.HappensBefore(1, s) {
+		if !h.SegmentBefore(1, s) {
 			t.Errorf("pre-fork must order before child %d", s)
 		}
-		if !g.HappensBefore(s, 7) {
+		if !h.SegmentBefore(s, 7) {
 			t.Errorf("child %d must order before post-join", s)
 		}
 	}
-	if !g.HappensBefore(2, 6) {
+	if !h.SegmentBefore(2, 6) {
 		t.Error("child A must order before its join segment")
 	}
-	if g.HappensBefore(4, 6) {
+	if h.SegmentBefore(4, 6) {
 		t.Error("child B must not order before A's join segment")
 	}
 }
 
 // TestRandomDAGMatchesReference builds random segment DAGs and checks
-// HappensBefore against plain BFS reachability over the masked edges — the
+// SegmentBefore against plain BFS reachability over the masked edges — the
 // vector-clock implementation must agree with the graph-theoretic truth.
+// Threads are created as the VM creates them: a Create edge only into a
+// thread's first segment, announced by the ThreadStart naming its parent.
 func TestRandomDAGMatchesReference(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nThreads := 2 + rng.Intn(3)
 		perThread := 2 + rng.Intn(5)
-		g := NewGraph(trace.MaskHelgrind)
+		h := &HB{Edges: trace.MaskHelgrind}
 
 		type node struct {
 			id trace.SegmentID
@@ -186,15 +231,22 @@ func TestRandomDAGMatchesReference(t *testing.T) {
 				if last[th] != 0 {
 					in = append(in, trace.SegmentEdge{From: last[th], Kind: trace.Program})
 				}
+				var parent trace.ThreadID
 				if rng.Intn(3) == 0 {
 					src := 1 + rng.Intn(nThreads)
 					if last[src] != 0 && src != th {
-						kinds := []trace.EdgeKind{trace.Create, trace.Join, trace.Queue, trace.Cond}
-						in = append(in, trace.SegmentEdge{From: last[src], Kind: kinds[rng.Intn(len(kinds))]})
+						kind := []trace.EdgeKind{trace.Join, trace.Queue, trace.Cond}[rng.Intn(3)]
+						if last[th] == 0 {
+							kind, parent = trace.Create, trace.ThreadID(src)
+						}
+						in = append(in, trace.SegmentEdge{From: last[src], Kind: kind})
 					}
 				}
+				if last[th] == 0 {
+					h.ThreadStart(trace.ThreadID(th), parent)
+				}
 				nodes = append(nodes, node{id: id, in: in})
-				g.Add(&trace.SegmentStart{Seg: id, Thread: trace.ThreadID(th), In: in})
+				h.Segment(&trace.SegmentStart{Seg: id, Thread: trace.ThreadID(th), In: in})
 				last[th] = id
 				id++
 			}
@@ -231,9 +283,9 @@ func TestRandomDAGMatchesReference(t *testing.T) {
 		}
 		for _, a := range nodes {
 			for _, b := range nodes {
-				if g.HappensBefore(a.id, b.id) != reaches(a.id, b.id) {
-					t.Logf("seed %d: HB(%d,%d)=%v, reference=%v", seed, a.id, b.id,
-						g.HappensBefore(a.id, b.id), reaches(a.id, b.id))
+				if h.SegmentBefore(a.id, b.id) != reaches(a.id, b.id) {
+					t.Logf("seed %d: SegmentBefore(%d,%d)=%v, reference=%v", seed, a.id, b.id,
+						h.SegmentBefore(a.id, b.id), reaches(a.id, b.id))
 					return false
 				}
 			}

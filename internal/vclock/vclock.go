@@ -1,11 +1,12 @@
 // Package vclock implements vector clocks (Lamport [7] / DJIT [6]) used by
-// the thread-segment graph and the happens-before detectors.
+// every race detector's happens-before relation.
 //
 // The package holds the DATATYPE — a growable vector of per-thread logical
 // clocks with join/compare operations — and HB, the happens-before core that
 // advances one clock per thread over a trace's synchronisation events, which
-// the DJIT and hybrid detectors share. The DJIT-style race DETECTOR built on
-// top of it lives in internal/vectorclock.
+// the DJIT, hybrid and lock-set detectors share (the last for its thread
+// segments). The DJIT-style race DETECTOR built on top of it lives in
+// internal/vectorclock.
 package vclock
 
 // VC is a vector clock: one logical clock per thread, indexed by ThreadID.

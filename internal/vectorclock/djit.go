@@ -17,10 +17,9 @@
 //
 // Despite the similar name, this package is the DETECTOR: per-granule shadow
 // cells (a trace.Shadow) and the race check on each access. The vector-clock
-// DATATYPE lives in internal/vclock, shared with the thread-segment graph
-// (internal/segments), and so does the happens-before core that advances the
-// thread clocks over synchronisation events (vclock.HB), shared with the
-// hybrid detector.
+// DATATYPE lives in internal/vclock, and so does the happens-before core that
+// advances the thread clocks over synchronisation events (vclock.HB), shared
+// with the hybrid detector and with the lock-set detector's thread segments.
 package vectorclock
 
 import (

@@ -3,8 +3,8 @@ package vm
 import (
 	"testing"
 
-	"repro/internal/segments"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 func TestBarrierRendezvous(t *testing.T) {
@@ -120,7 +120,7 @@ func TestBarrierOrdersPhasesForFullMaskDetector(t *testing.T) {
 	// accesses are ordered; with the Helgrind mask they are not.
 	run := func(mask trace.EdgeMask) int {
 		v := New(Options{Seed: 2})
-		rec := &segGraphProbe{mask: mask}
+		rec := &segOrderProbe{hb: vclock.HB{Edges: mask}}
 		v.AddTool(rec)
 		bar := v.NewBarrier("phase", 2)
 		var aSeg, bSeg trace.SegmentID
@@ -142,7 +142,7 @@ func TestBarrierOrdersPhasesForFullMaskDetector(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if rec.g.HappensBefore(aSeg, bSeg) {
+		if rec.hb.SegmentBefore(aSeg, bSeg) {
 			return 1
 		}
 		return 0
@@ -155,18 +155,14 @@ func TestBarrierOrdersPhasesForFullMaskDetector(t *testing.T) {
 	}
 }
 
-// segGraphProbe builds a segment graph from the event stream, for
-// happens-before assertions in tests.
-type segGraphProbe struct {
+// segOrderProbe feeds thread starts and segments to a vclock.HB, as the
+// lock-set detector does, for happens-before assertions between segments in
+// tests.
+type segOrderProbe struct {
 	trace.BaseSink
-	mask trace.EdgeMask
-	g    *segments.Graph
+	hb vclock.HB
 }
 
-func (p *segGraphProbe) ToolName() string { return "seg-probe" }
-func (p *segGraphProbe) Segment(ss *trace.SegmentStart) {
-	if p.g == nil {
-		p.g = segments.NewGraph(p.mask)
-	}
-	p.g.Add(ss)
-}
+func (p *segOrderProbe) ToolName() string                     { return "seg-probe" }
+func (p *segOrderProbe) ThreadStart(t, parent trace.ThreadID) { p.hb.ThreadStart(t, parent) }
+func (p *segOrderProbe) Segment(ss *trace.SegmentStart)       { p.hb.Segment(ss) }
