@@ -242,13 +242,14 @@
 // field scratch and a chunked block slab (freed descriptors are evicted and
 // recycled, bounding the block table by the live set); decoders and the
 // engine's batches — each with its segment-edge arena — are pooled across
-// sessions; and allocation tags plus metadata strings are canonicalised in
-// internal/intern's process-wide table, with identical metadata frame
-// payloads content-hash deduped so concurrent sessions from one binary share
-// one table copy. The price is a copy-on-retain contract: a decoded
-// Event.Segment.In points into the decoder's edge arena and is valid only
-// until the next Decoder.Next — for the events of a batch, until the next
-// Decoder.NextBatch.
+// sessions, and each decoder hands a repeated allocation tag back from its
+// own bounded tag table. Identical metadata frame payloads are content-hash
+// deduped in a cache capped at 8 MiB, so concurrent sessions from one binary
+// share one table copy and no client grows it for good; it is the only
+// process-wide table that keeps what a session sends. The price is a
+// copy-on-retain contract: a decoded Event.Segment.In points into the
+// decoder's edge arena and is valid only until the next Decoder.Next — for
+// the events of a batch, until the next Decoder.NextBatch.
 //
 // The detectors follow the same discipline: the block-routed tools keep
 // their shadow state in flat slices over dense-remapped IDs (trace.Dense)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/intern"
 	"repro/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func refDecodeWire(payload []byte) (*Collector, error) {
 		if _, err := io.ReadFull(r, sbuf); err != nil {
 			return "", fmt.Errorf("report: corrupt collector encoding: %w", io.ErrUnexpectedEOF)
 		}
-		return intern.Bytes(sbuf), nil
+		return string(sbuf), nil
 	}
 	readByte := func() (byte, error) {
 		v, err := r.ReadByte()

@@ -9,9 +9,8 @@ package report
 // originals in one process.
 //
 // The decoder reads through wire.Reader, the hostile-input rules shared with
-// the metadata and backend codecs, and interns every string process-wide
-// (tool names and shadow-state strings repeat across every session a router
-// ever sees).
+// the metadata and backend codecs. Every string it returns is a fresh copy
+// owned by the decoded collector.
 
 import (
 	"encoding/binary"

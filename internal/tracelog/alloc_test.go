@@ -2,6 +2,7 @@ package tracelog_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -176,4 +177,52 @@ func TestBlockTableEviction(t *testing.T) {
 	}
 	runtime.KeepAlive(dec)
 	runtime.KeepAlive(log)
+}
+
+// TestTagTableBounded is the regression test for the tag leak: allocation
+// tags once went into a process-wide table that never shrank, so pooled
+// decoders fed 40 streams of 5,000 unique tags each left about 15 MB behind
+// after GC. Each decoder now keeps its own bounded tag table, and Release
+// drops one whose table filled, so nothing a stream sent outlives it.
+func TestTagTableBounded(t *testing.T) {
+	const streams, tags = 40, 5000
+	logs := make([][]byte, streams)
+	for s := range logs {
+		var buf bytes.Buffer
+		rec := tracelog.NewRecorder(&buf)
+		for i := 1; i <= tags; i++ {
+			id := trace.BlockID(i)
+			rec.Alloc(&trace.Block{ID: id, Base: trace.Addr(i) << 4, Size: 32, Thread: 1, Stack: 1, Tag: fmt.Sprintf("obj:stream%02d/Tag%05d", s, i)})
+			rec.Free(&trace.Block{ID: id}, 1, 2)
+		}
+		if err := rec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		logs[s] = buf.Bytes()
+	}
+
+	runtime.GC()
+	var m0 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+
+	for _, log := range logs {
+		dec := tracelog.AcquireDecoder(bytes.NewReader(log))
+		if n := drain(t, dec); n != 2*tags {
+			t.Fatalf("decoded %d events, want %d", n, 2*tags)
+		}
+		dec.Release()
+	}
+
+	runtime.GC()
+	var m1 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	growth := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	// What may stay is one pooled decoder: a window, a slab chunk and a
+	// tag table under its bound, about 0.5 MB. A table kept for the
+	// process holds all 200,000 tags, about 15 MB.
+	const ceiling = 4 << 20
+	if growth > ceiling {
+		t.Errorf("decoding %d streams of %d unique tags retains %d bytes (ceiling %d): tags outlive their streams", streams, tags, growth, ceiling)
+	}
+	runtime.KeepAlive(logs)
 }

@@ -74,9 +74,8 @@ func (res *BackendResult) Append(b []byte) []byte {
 	return append(b, col...)
 }
 
-// DecodeBackendResult parses one Append payload. Names are interned; the
-// rendered report, the one large and unique string, is copied instead and
-// shares the backend-report frame's payload bound.
+// DecodeBackendResult parses one Append payload. The rendered report, the
+// one large string, shares the backend-report frame's payload bound.
 func DecodeBackendResult(payload []byte) (*BackendResult, error) {
 	r := wire.NewReader(payload, "tracelog: backend result")
 	r.Version(backendWireVersion)
@@ -91,7 +90,7 @@ func DecodeBackendResult(payload []byte) (*BackendResult, error) {
 			res.Shed[i] = r.String(maxBackendString)
 		}
 	}
-	res.Report = r.Text(MaxFramePayload)
+	res.Report = r.String(MaxFramePayload)
 	if n := r.Count(maxBackendCount); n > 0 {
 		res.Sums = make(map[string]trace.ToolSummary, n)
 		for range n {

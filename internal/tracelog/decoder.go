@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/intern"
 	"repro/internal/trace"
 )
 
@@ -41,8 +40,8 @@ type Event struct {
 	Access trace.Access
 	// Block is set for OpAlloc and OpFree. It is a value copy: for OpFree it
 	// carries the descriptor of the matching allocation, reconstructed by the
-	// Decoder. The Tag string is interned process-wide (internal/intern), so
-	// repeated tags share one allocation across every decoder and session.
+	// Decoder. The Tag string comes from the decoder's own bounded tag
+	// table (see maxTagTable), so a repeated tag is not copied again.
 	Block trace.Block
 	// Segment is set for OpSegment. Its In slice points into an arena the
 	// Decoder reuses: after Next it is valid only until the next call to
@@ -141,6 +140,11 @@ const (
 	maxSegmentEdges = 1 << 16
 	// maxTagLen bounds an allocation tag's byte length.
 	maxTagLen = 1 << 20
+	// maxTagTable bounds a decoder's tag table, in bytes of tag text. One
+	// binary's allocation tags take a few kilobytes; once a stream has
+	// brought more new tag text than this, later new tags are copied and
+	// not kept, and Release drops the decoder rather than pool the table.
+	maxTagTable = 256 << 10
 )
 
 // maxEventFields is the most fixed uvarint fields any opcode carries (see
@@ -213,8 +217,9 @@ const windowSize = 64 << 10
 // The steady-state decode path is allocation-free: fixed-size field scratch,
 // slab-recycled block descriptors (an OpFree evicts and recycles its
 // descriptor, so the block table is bounded by the live set, not the event
-// count), process-wide interned allocation tags, and a reused segment-edge
-// arena (see Event.Segment). A Decoder is not safe for concurrent use.
+// count), a tag table that hands a repeated allocation tag back without a
+// copy, and a reused segment-edge arena (see Event.Segment). A Decoder is
+// not safe for concurrent use.
 type Decoder struct {
 	r    io.Reader
 	win  []byte // read window; win[pos:end] is input not yet decoded
@@ -225,6 +230,12 @@ type Decoder struct {
 	blocks map[trace.BlockID]*trace.Block
 	slab   blockSlab
 	events int64
+
+	// tags maps each allocation tag seen to its one stored copy; it
+	// survives Reset, as the slab does. tagBytes counts the text of every
+	// tag that missed it, so the table stops growing at maxTagTable.
+	tags     map[string]string
+	tagBytes int
 
 	scratch [maxEventFields]uint64 // per-event field decode, no per-call slice
 	edges   []trace.SegmentEdge    // Segment.In arena of the current Next or NextBatch
@@ -239,13 +250,13 @@ type Decoder struct {
 
 // NewDecoder creates a decoder reading the binary log from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, blocks: make(map[trace.BlockID]*trace.Block)}
+	return &Decoder{r: r, blocks: make(map[trace.BlockID]*trace.Block), tags: make(map[string]string)}
 }
 
-// Reset rewires the decoder to a new log, recycling its window, block slab
-// and table: a decoder in a long-lived server (or a benchmark loop) decodes
-// any number of streams with no per-stream allocation beyond what a larger
-// live set or a new tag vocabulary demands.
+// Reset rewires the decoder to a new log, recycling its window, block slab,
+// block table and tag table: a decoder in a long-lived server (or a
+// benchmark loop) decodes any number of streams with no per-stream
+// allocation beyond what a larger live set or a new tag vocabulary demands.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r = r
 	d.pos, d.end, d.rerr = 0, 0, nil
@@ -255,9 +266,10 @@ func (d *Decoder) Reset(r io.Reader) {
 	d.segOff, d.segEdges = 0, 0
 }
 
-// Pooled decoders above these sizes are dropped, not reused: one hostile
-// stream (a megabyte tag, a million live blocks) must not leave its
-// high-water mark in every later session's decoder.
+// Pooled decoders above these sizes, or with a full tag table, are dropped,
+// not reused: one hostile stream (a megabyte tag, a million live blocks, a
+// flood of distinct tags) must not leave its high-water mark in every later
+// session's decoder.
 const (
 	maxPooledEdges  = 4096
 	maxPooledChunks = 64 // 16,384 live blocks
@@ -279,7 +291,8 @@ func AcquireDecoder(r io.Reader) *Decoder {
 // afterwards.
 func (d *Decoder) Release() {
 	d.r = nil // the pool must not keep a connection alive
-	if len(d.win) > windowSize || cap(d.edges) > maxPooledEdges || len(d.slab.chunks) > maxPooledChunks {
+	if len(d.win) > windowSize || cap(d.edges) > maxPooledEdges ||
+		len(d.slab.chunks) > maxPooledChunks || d.tagBytes > maxTagTable {
 		return
 	}
 	decoderPool.Put(d)
@@ -393,8 +406,15 @@ func (d *Decoder) parse(b []byte, ev *Event) (int, error) {
 		if uint64(len(b)-i) < f[5] {
 			return 0, errShort
 		}
-		// Interned straight from the window: a repeated tag costs no copy.
-		tag := intern.Bytes(b[i : i+int(f[5])])
+		// Looked up straight from the window: a repeated tag costs no copy.
+		raw := b[i : i+int(f[5])]
+		tag, ok := d.tags[string(raw)]
+		if !ok {
+			tag = string(raw)
+			if d.tagBytes += len(tag); d.tagBytes <= maxTagTable {
+				d.tags[tag] = tag
+			}
+		}
 		i += int(f[5])
 		id := trace.BlockID(f[0])
 		blk := d.blocks[id]

@@ -3,6 +3,7 @@ package tracelog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -379,6 +380,44 @@ func TestDecoderTrickledGiants(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if p := AcquireDecoder(nil); len(p.win) > windowSize || cap(p.edges) > maxPooledEdges {
 			t.Fatalf("pool handed out a decoder with a %d-byte window and %d edges of arena", len(p.win), cap(p.edges))
+		}
+	}
+}
+
+// TestTagTableOverflow decodes twice the distinct tag text a decoder's tag
+// table holds. Every tag, kept or not, decodes byte-equal to what the
+// Recorder wrote, on first sight and again after Reset, the table stops at
+// its bound, and Release does not pool the decoder that filled it.
+func TestTagTableOverflow(t *testing.T) {
+	tags := make([]string, 2*maxTagTable/100)
+	log, _ := recordWithBounds(t, func(s trace.Sink) {
+		for i := range tags {
+			tags[i] = fmt.Sprintf("obj:%096d", i)
+			s.Alloc(&trace.Block{ID: trace.BlockID(i + 1), Size: 8, Tag: tags[i], Thread: 1})
+		}
+	})
+	r := bytes.NewReader(log)
+	d := AcquireDecoder(r)
+	for pass := range 2 {
+		r.Reset(log)
+		d.Reset(r)
+		got, err := drainBatches(d, 64)
+		if err != io.EOF || len(got) != len(tags) {
+			t.Fatalf("pass %d: %d events, err %v", pass, len(got), err)
+		}
+		for i, ev := range got {
+			if ev.Block.Tag != tags[i] {
+				t.Fatalf("pass %d: tag %d = %q, want %q", pass, i, ev.Block.Tag, tags[i])
+			}
+		}
+	}
+	if n := len(d.tags); n*100 > maxTagTable {
+		t.Errorf("tag table holds %d tags of 100 bytes, bound %d bytes", n, maxTagTable)
+	}
+	d.Release()
+	for i := 0; i < 4; i++ {
+		if p := AcquireDecoder(nil); p == d || p.tagBytes > maxTagTable {
+			t.Fatal("pool handed out a decoder with a full tag table")
 		}
 	}
 }

@@ -152,9 +152,7 @@ func encodeMetadataChunks(md *Metadata) [][]byte {
 }
 
 // decodeMetadata parses one metadata frame payload. It never allocates from
-// a claimed count (see wire.Reader). Strings are interned through the
-// process-wide table, so the symbol vocabulary shared by concurrent sessions
-// from the same instrumented binary is stored once.
+// a claimed count (see wire.Reader). Every string is the fragment's own copy.
 func decodeMetadata(payload []byte) (*Metadata, error) {
 	r := wire.NewReader(payload, "tracelog: metadata frame")
 	md := &Metadata{
@@ -200,18 +198,26 @@ func decodeMetadata(payload []byte) (*Metadata, error) {
 	return md, nil
 }
 
+// maxPayloadCache caps the payload bytes payloadCache holds. It is far
+// above the distinct table dumps of the binaries a daemon serves (the
+// session benchmark's eight SIP cases and its warning flood send about
+// 0.5 MB between them), so their sessions keep hitting, and it is what stops
+// a client sending ever-new payloads from growing the daemon for good.
+const maxPayloadCache = 8 << 20
+
 // payloadCache dedupes decoded metadata payloads process-wide, keyed by
 // content hash. N sessions streaming from the same instrumented binary send
 // byte-identical table dumps; each payload is decoded once and every
 // session's TableResolver shares the one immutable fragment instead of
-// holding its own copy of the tables. Like the intern table it is
-// deliberately append-only: distinct payloads are bounded by the distinct
-// binaries (and table-growth increments) seen, not by session count or
-// event volume. Failed decodes are never cached — a corrupt payload is
-// re-reported per stream.
+// holding its own copy of the tables. It is bounded: a payload that would
+// take the cached bytes past maxPayloadCache clears the cache first.
+// Fragments that resolvers already hold stay valid, since they are
+// immutable; only later sessions decode again. Failed decodes are never
+// cached — a corrupt payload is re-reported per stream.
 var payloadCache = struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte]*Metadata
+	mu    sync.Mutex
+	m     map[[sha256.Size]byte]*Metadata
+	bytes int // payload bytes behind the entries of m
 }{m: make(map[[sha256.Size]byte]*Metadata)}
 
 // decodeMetadataShared is decodeMetadata behind the process-wide payload
@@ -233,7 +239,12 @@ func decodeMetadataShared(payload []byte) (*Metadata, error) {
 	if prev, ok := payloadCache.m[key]; ok {
 		md = prev // lost a decode race; share the winner
 	} else {
+		if payloadCache.bytes+len(payload) > maxPayloadCache {
+			clear(payloadCache.m)
+			payloadCache.bytes = 0
+		}
 		payloadCache.m[key] = md
+		payloadCache.bytes += len(payload)
 	}
 	payloadCache.mu.Unlock()
 	return md, nil
@@ -249,8 +260,10 @@ func decodeMetadataShared(payload []byte) (*Metadata, error) {
 // entry overrides an earlier one's. Combined with the process-wide payload
 // cache, N concurrent sessions from one instrumented binary resolve against
 // a single shared table copy instead of each re-building its own under its
-// own lock. The flip side is a contract: a Metadata passed to AddMetadata
-// must not be mutated afterwards.
+// own lock. The cache holds at most maxPayloadCache bytes of payloads, so
+// that one client cannot grow it for good; a resolver keeps its fragments
+// when the cache is cleared. The flip side is a contract: a Metadata passed
+// to AddMetadata must not be mutated afterwards.
 //
 // It is safe for concurrent use: the connection goroutine merges tables
 // while report formatting resolves against them.

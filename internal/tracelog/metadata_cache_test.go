@@ -1,8 +1,8 @@
 package tracelog
 
 import (
+	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -51,33 +51,31 @@ func TestPayloadCacheShares(t *testing.T) {
 	}
 }
 
-// TestDecodeInternsStrings pins that decoding routes tag and frame strings
-// through the process-wide intern table: two decodes of payloads carrying
-// the same vocabulary yield strings with one backing array.
-func TestDecodeInternsStrings(t *testing.T) {
-	mk := func(line int) []byte {
-		md := &Metadata{Stacks: map[trace.StackID][]trace.Frame{
-			1: {{Fn: "shared_symbol_name", File: "shared_file.cpp", Line: line}},
+// TestPayloadCacheBounded is the regression test for the metadata cache
+// leak: a client sending ever-new payloads grew the cache for good. Distinct
+// payloads worth three times maxPayloadCache go through the cache, which
+// must then hold at most maxPayloadCache bytes of them and still hit.
+func TestPayloadCacheBounded(t *testing.T) {
+	tag := strings.Repeat("t", 20<<10)
+	var payload []byte
+	for i := 0; i*len(tag) < 3*maxPayloadCache; i++ {
+		md := &Metadata{Blocks: map[trace.BlockID]trace.Block{
+			trace.BlockID(i + 1): {ID: trace.BlockID(i + 1), Size: 8, Tag: tag},
 		}}
-		chunks := encodeMetadataChunks(md)
-		return chunks[0]
+		payload = encodeMetadataChunks(md)[0]
+		if _, err := decodeMetadataShared(payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Different lines → different payloads → both really decoded, no
-	// payload-cache shortcut.
-	a, err := decodeMetadataShared(mk(1))
-	if err != nil {
-		t.Fatal(err)
+	payloadCache.mu.Lock()
+	held, entries := payloadCache.bytes, len(payloadCache.m)
+	payloadCache.mu.Unlock()
+	if held > maxPayloadCache || entries*len(tag) > maxPayloadCache {
+		t.Errorf("cache holds %d payloads, %d bytes; cap %d", entries, held, maxPayloadCache)
 	}
-	b, err := decodeMetadataShared(mk(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, fb := a.Stacks[1][0], b.Stacks[1][0]
-	if unsafe.StringData(fa.Fn) != unsafe.StringData(fb.Fn) {
-		t.Error("Fn strings not interned across payloads")
-	}
-	if unsafe.StringData(fa.File) != unsafe.StringData(fb.File) {
-		t.Error("File strings not interned across payloads")
+	a, _ := decodeMetadataShared(payload)
+	if b, _ := decodeMetadataShared(payload); a != b {
+		t.Error("cache missed on the payload it just decoded")
 	}
 }
 

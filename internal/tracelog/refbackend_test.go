@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/intern"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -156,9 +155,7 @@ func refReadBackendCounts(r *bytes.Reader, n int) ([]uint64, error) {
 }
 
 // refReadBackendString reads one length-prefixed string bounded by limit,
-// interned process-wide (tool and summary names repeat across every session a
-// router ever sees; the rendered report is the one string too large and too
-// unique to intern, so it is returned as a fresh copy).
+// as a fresh copy.
 func refReadBackendString(r *bytes.Reader, limit int) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -172,7 +169,7 @@ func refReadBackendString(r *bytes.Reader, limit int) (string, error) {
 		return "", fmt.Errorf("ingest: corrupt backend payload: %w", io.ErrUnexpectedEOF)
 	}
 	if limit <= maxBackendString {
-		return intern.Bytes(buf), nil
+		return string(buf), nil
 	}
 	return string(buf), nil
 }

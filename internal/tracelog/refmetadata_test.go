@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/intern"
 	"repro/internal/trace"
 )
 
@@ -18,9 +17,7 @@ import (
 //
 // It parses one metadata frame payload. It never allocates from
 // a claimed count: counts are sanity-checked against the bytes actually
-// remaining (every entry consumes at least one byte). Strings are interned
-// through the process-wide table, so the symbol vocabulary shared by
-// concurrent sessions from the same instrumented binary is stored once.
+// remaining (every entry consumes at least one byte). Strings are copies.
 func refDecodeMetadata(payload []byte) (*Metadata, error) {
 	r := bytes.NewReader(payload)
 	readU := func() (uint64, error) {
@@ -46,7 +43,7 @@ func refDecodeMetadata(payload []byte) (*Metadata, error) {
 		if _, err := io.ReadFull(r, sbuf); err != nil {
 			return "", fmt.Errorf("tracelog: corrupt metadata frame: %w", io.ErrUnexpectedEOF)
 		}
-		return intern.Bytes(sbuf), nil
+		return string(sbuf), nil
 	}
 
 	md := &Metadata{

@@ -18,8 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"repro/internal/intern"
 )
 
 // AppendString appends s to b as a uvarint length followed by its bytes.
@@ -144,17 +142,10 @@ func (r *Reader) Count(max uint64) int {
 	return int(n)
 }
 
-// String returns the next length-prefixed string of at most limit bytes,
-// interned process-wide: names, tags and frame strings repeat across every
-// session from the same binary, so each distinct one is stored once.
+// String returns the next length-prefixed string of at most limit bytes as
+// a fresh copy: nothing decoded from a payload shares memory with the
+// payload, another session or the process.
 func (r *Reader) String(limit int) string {
-	return intern.Bytes(r.Bytes(r.Count(uint64(limit))))
-}
-
-// Text returns the next length-prefixed string of at most limit bytes as a
-// fresh copy, for a large one-off string (a rendered report) that would
-// only bloat the intern table.
-func (r *Reader) Text(limit int) string {
 	return string(r.Bytes(r.Count(uint64(limit))))
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // TestReaderRoundTrip reads back every kind of field an encoder writes.
@@ -29,8 +28,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	if s := r.String(16); s != "tool" {
 		t.Errorf("String = %q", s)
 	}
-	if s := r.Text(16); s != "report text" {
-		t.Errorf("Text = %q", s)
+	if s := r.String(16); s != "report text" {
+		t.Errorf("String = %q", s)
 	}
 	if got := r.Bytes(2); string(got) != "\xAA\xBB" {
 		t.Errorf("Bytes = %x", got)
@@ -57,7 +56,7 @@ func TestReaderFailures(t *testing.T) {
 		{"count bound", []byte{5, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count(4) }, "count 5 exceeds the limit 4"},
 		{"count past payload", []byte{3, 0}, func(r *Reader) { r.Count(100) }, "or the 1 byte(s) remaining"},
 		{"string bound", []byte{3, 'a', 'b', 'c'}, func(r *Reader) { r.String(2) }, "count 3 exceeds the limit 2"},
-		{"text past payload", []byte{4, 'a'}, func(r *Reader) { r.Text(100) }, "count 4 exceeds the limit 100 or the 1 byte(s)"},
+		{"string past payload", []byte{4, 'a'}, func(r *Reader) { r.String(100) }, "count 4 exceeds the limit 100 or the 1 byte(s)"},
 		{"bytes past payload", []byte{1}, func(r *Reader) { r.Bytes(2) }, "truncated"},
 		{"trailing", []byte{1, 2}, func(r *Reader) { r.Byte() }, "1 trailing byte(s)"},
 		{"failf", nil, func(r *Reader) { r.Failf("duplicate key %q", "k") }, `duplicate key "k"`},
@@ -81,7 +80,7 @@ func TestReaderSticky(t *testing.T) {
 	r := NewReader([]byte{9, 1, 2, 3}, "test: payload")
 	r.Uint(8)
 	first := r.Err()
-	if r.Byte() != 0 || r.Uvarint() != 0 || r.Count(100) != 0 || r.String(10) != "" || r.Text(10) != "" || r.Bytes(1) != nil {
+	if r.Byte() != 0 || r.Uvarint() != 0 || r.Count(100) != 0 || r.String(10) != "" || r.Bytes(1) != nil {
 		t.Error("a read after a failure returned a non-zero value")
 	}
 	r.Failf("later")
@@ -90,18 +89,15 @@ func TestReaderSticky(t *testing.T) {
 	}
 }
 
-// TestReaderStringInterned pins that String interns (two payloads share one
-// backing array) and Text copies (the result outlives a reused payload).
-func TestReaderStringInterned(t *testing.T) {
-	p1, p2 := AppendString(nil, "shared_symbol"), AppendString(nil, "shared_symbol")
-	r1, r2 := NewReader(p1, "t"), NewReader(p2, "t")
-	if a, b := r1.String(64), r2.String(64); unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Error("String did not intern")
-	}
-	r := NewReader(p1, "t")
-	text := r.Text(64)
-	p1[1] = 'X'
-	if text != "shared_symbol" {
-		t.Errorf("Text aliases the payload: %q", text)
+// TestReaderStringCopies pins that String returns a copy: the result
+// outlives a reused payload, so a decoded string holds none of the
+// session's buffers alive.
+func TestReaderStringCopies(t *testing.T) {
+	p := AppendString(nil, "shared_symbol")
+	r := NewReader(p, "t")
+	s := r.String(64)
+	p[1] = 'X'
+	if s != "shared_symbol" {
+		t.Errorf("String aliases the payload: %q", s)
 	}
 }
