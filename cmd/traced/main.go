@@ -18,13 +18,14 @@
 // whose clients stall so they stop holding analysis slots. Sessions that
 // stream metadata frames get their reports fully stack-resolved.
 //
-// Under overload the daemon degrades instead of stalling: -admit-timeout and
-// -admit-rate bound session admission (a rejected client receives a typed
-// busy error frame with a retry-after hint instead of parking on the session
-// cap), -sampling and -ladder adaptively trade analysis coverage for
-// survival as pressure rises — with the exact shed counts stamped into every
-// degraded report — and -fold-cap bounds the memory of the long-run
-// retention fold.
+// Under overload the daemon degrades instead of stalling: -admit-timeout
+// bounds the wait for one of the -max-sessions analysis slots (a client that
+// outwaits it receives a typed busy error frame with a retry-after hint
+// instead of parking on the session cap), -sampling and -ladder adaptively
+// trade analysis coverage for survival as pressure rises — with the exact
+// shed counts stamped into every degraded report — -adaptive-snapshots
+// defers incremental snapshots under pressure, and -fold-cap bounds the
+// memory of the long-run retention fold.
 //
 // The daemon observes itself through an internal/obs metrics registry,
 // always on (instrumentation is allocation-free and never perturbs
@@ -97,8 +98,6 @@ var (
 	httpAddr       = flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this host:port (empty disables)")
 	statsInterval  = flag.Duration("stats-interval", 0, "print a one-line metrics dump to stderr this often (0 disables)")
 	admitTimeout   = flag.Duration("admit-timeout", 0, "reject a session with a typed busy error if no analysis slot frees within this long (0 waits until shutdown)")
-	admitRate      = flag.Float64("admit-rate", 0, "token-bucket admission pacing, sessions/second (0 disables; beyond the bucket, sessions are rejected busy)")
-	admitBurst     = flag.Int("admit-burst", 0, "admission token-bucket burst (0 defaults to -max-sessions)")
 	sampling       = flag.Bool("sampling", false, "adaptively sample access events from sessions admitted under overload pressure (exact shed counts stamped into reports)")
 	ladder         = flag.Bool("ladder", false, "shed auxiliary tools (highlevel, then deadlock) from sessions admitted under overload pressure")
 	foldCap        = flag.Int("fold-cap", 0, "bound the distinct warning sites the retention fold keeps; the aggregate discloses what was compacted (0 keeps all)")
@@ -134,8 +133,6 @@ func main() {
 		Metrics:        reg,
 
 		AdmitTimeout:           *admitTimeout,
-		AdmitRate:              *admitRate,
-		AdmitBurst:             *admitBurst,
 		AdaptiveSampling:       *sampling,
 		DegradationLadder:      *ladder,
 		FoldSiteCap:            *foldCap,

@@ -24,12 +24,12 @@
 // distribution, making overload behaviour measurable.
 //
 // -flood is the overload counterpart: run far more sessions than the
-// server's -max-sessions against a daemon with bounded admission. A session
-// the server rejects with a typed busy error counts as shed load rather than
-// failure (optionally redialed after the server's retry-after hint, up to
-// -flood-retries attempts); the run summarises completed vs rejected
-// sessions and exits zero when every session either completed or was cleanly
-// rejected.
+// server's -max-sessions against a daemon with bounded admission (traced
+// -admit-timeout). A session the server rejects with a typed busy error
+// counts as shed load rather than failure (optionally redialed after the
+// server's retry-after hint, at most a second, up to -flood-retries
+// attempts); the run summarises completed vs rejected sessions and exits
+// zero when every session either completed or was cleanly rejected.
 //
 // Usage:
 //
@@ -101,15 +101,9 @@ func main() {
 		interval  = flag.Duration("report-interval", 0, "incremental-report interval for -inproc (0 disables)")
 		query     = flag.String("query", "", "run one query against -addr, print the response, and exit (e.g. stats, aggregate, sessions)")
 		flood     = flag.Bool("flood", false, "overload mode: a session the server rejects with a typed busy error counts as shed load, not failure (disables -verify comparison; degraded reports differ from offline replays by design)")
-		retries   = flag.Int("flood-retries", 0, "redial attempts after a busy rejection, honouring the server's retry-after hint")
-		cooperate = flag.Bool("cooperative", false, "share one backoff governor across all sessions: any busy rejection lowers every session's send rate (and paces redials) until sessions succeed again")
+		retries   = flag.Int("flood-retries", 0, "redial attempts after a busy rejection, honouring the server's retry-after hint (at most a second)")
 	)
 	flag.Parse()
-
-	var gov *ingest.Backoff
-	if *cooperate {
-		gov = ingest.NewBackoff(0)
-	}
 
 	if *query != "" {
 		c, err := ingest.Dial(*addr)
@@ -222,7 +216,7 @@ func main() {
 			defer wg.Done()
 			tr := traces[i%len(traces)]
 			if *flood {
-				wasRejected, err := streamFlood(target, fmt.Sprintf("load-%d-%s", i, tr.name), tr, *chunk, *retries, gov)
+				wasRejected, err := streamFlood(target, fmt.Sprintf("load-%d-%s", i, tr.name), tr, *chunk, *retries)
 				mu.Lock()
 				switch {
 				case err != nil:
@@ -243,9 +237,6 @@ func main() {
 				return
 			}
 			defer c.Close()
-			if gov != nil {
-				c.SetPacer(gov)
-			}
 			name := fmt.Sprintf("load-%d-%s", i, tr.name)
 			var rep string
 			var sessDelays []time.Duration
@@ -295,9 +286,6 @@ func main() {
 		*sessions-len(failures)-rejected, *sessions, events, dur.Round(time.Millisecond), float64(events)/dur.Seconds())
 	if *flood {
 		fmt.Printf("traceload: flood: %d session(s) rejected busy by admission\n", rejected)
-		if gov != nil {
-			fmt.Printf("traceload: cooperative backoff settled at %v redial delay\n", gov.Delay())
-		}
 	}
 	if *rate > 0 {
 		fmt.Println("traceload:", delaySummary(delays))
@@ -384,49 +372,37 @@ func streamOpenLoop(c *ingest.Client, name string, tr traceEntry, offs []int64, 
 
 // streamFlood runs one closed-loop session expecting admission pressure: a
 // typed busy rejection is shed load, not failure. After each rejection it
-// sleeps the server's retry-after hint (bounded to a second) and redials, up
-// to retries extra attempts; a session still rejected then reports rejected.
-// With a cooperative governor attached, the rejection instead feeds the
-// shared backoff — every concurrent session's send rate drops, the redial
-// honours the governed delay, and a success recovers it — so the flood backs
-// off as a fleet instead of each session hammering the gate independently.
-func streamFlood(target, name string, tr traceEntry, chunk, retries int, gov *ingest.Backoff) (rejected bool, err error) {
+// sleeps redialDelay and redials, up to retries extra attempts; a session
+// still rejected then reports rejected.
+func streamFlood(target, name string, tr traceEntry, chunk, retries int) (rejected bool, err error) {
 	for attempt := 0; ; attempt++ {
 		c, err := ingest.Dial(target)
 		if err != nil {
 			return false, fmt.Errorf("dial: %w", err)
 		}
-		if gov != nil {
-			c.SetPacer(gov)
-		}
 		_, err = c.StreamTraceMeta(name, tr.md, tr.log, chunk)
 		c.Close()
 		if err == nil {
-			if gov != nil {
-				gov.OnSuccess()
-			}
 			return false, nil
 		}
 		if !errors.Is(err, tracelog.ErrBusy) {
 			return false, err
 		}
-		if gov != nil {
-			gov.OnBusy(err)
-			if attempt >= retries {
-				return true, nil
-			}
-			gov.Wait()
-			continue
-		}
 		if attempt >= retries {
 			return true, nil
 		}
-		backoff := 50 * time.Millisecond
-		if hint, ok := tracelog.RetryAfterHint(err); ok && hint < time.Second {
-			backoff = hint
-		}
-		time.Sleep(backoff)
+		time.Sleep(redialDelay(err))
 	}
+}
+
+// redialDelay is the pause before redialling a busy-rejected session: the
+// server's retry-after hint, bounded to a second, or 50ms without one.
+func redialDelay(err error) time.Duration {
+	hint, ok := tracelog.RetryAfterHint(err)
+	if !ok {
+		return 50 * time.Millisecond
+	}
+	return min(hint, time.Second)
 }
 
 // eventOffsets computes the cumulative byte offset after every event of a

@@ -159,29 +159,27 @@
 //     holding slots.
 //   - Shutdown flushes: in-flight sessions get a grace period to drain and
 //     report, then are force-closed as failed — never silently dropped.
-//   - Overload survival: admission is bounded — an optional token bucket
-//     paces arrivals, the MaxSessions slot wait is queue-with-deadline and
-//     always interruptible by shutdown, and refused connections get a typed
-//     busy error (tracelog.ErrBusy) with a retry-after hint. Under pressure
-//     a degradation ladder sheds auxiliary tools (never the paper's core
-//     block-routed detectors) and an adaptive sampler drops a deterministic
+//   - Overload survival: admission is bounded — the MaxSessions slot wait
+//     is the one gate, queue-with-deadline (Config.AdmitTimeout) and always
+//     interruptible by shutdown, and refused connections get a typed busy
+//     error (tracelog.ErrBusy) with a retry-after hint. Under pressure a
+//     degradation ladder sheds auxiliary tools (never the paper's core
+//     block-routed detectors), an adaptive sampler drops a deterministic
 //     per-block fraction of access events from the session pipeline's
 //     batches before delivery (engine.Options.Keep), with exact sampled-out
-//     counts stamped into session reports and the aggregate; the retention fold
-//     can cap per-site detail (Config.FoldSiteCap). At zero pressure every
-//     mechanism is inert and reports stay byte-identical — see the README's
-//     "Overload survival" section.
+//     counts stamped into session reports and the aggregate, and
+//     incremental snapshots can be deferred (Config.AdaptiveReportInterval);
+//     the retention fold can cap per-site detail (Config.FoldSiteCap). At
+//     zero pressure every mechanism is inert and reports stay byte-identical
+//     — see the README's "Overload survival" section.
 //
 // cmd/traceload replays scenario corpora over N concurrent live sessions
 // (with -verify pinning live == offline byte-identity against a real
 // server, and pinning every server-side incremental snapshot as a
 // prefix-consistent subset of the final report), optionally open-loop at a
-// target events/sec with a queueing-delay summary (-rate). With
-// -cooperative, traceload's sessions share one
-// ingest.Backoff governor: busy rejections grow a common redial delay
-// (seeded by the server's retry-after hint) and pace in-flight chunk
-// writes, and successes decay it back to zero — a well-behaved client for
-// an overloaded fleet.
+// target events/sec with a queueing-delay summary (-rate), or as a flood
+// (-flood) that counts busy rejections as shed load and redials after the
+// server's retry-after hint, at most a second.
 //
 // # Cross-session site identity and the router tier
 //

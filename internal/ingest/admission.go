@@ -8,13 +8,12 @@ package ingest
 //
 // The moving parts, from the outside in:
 //
-//   - Admission (Server.admit): an optional token bucket paces session
-//     arrivals (Config.AdmitRate/AdmitBurst); past the bucket, the connection
-//     is rejected immediately with a typed busy error frame
-//     (tracelog.ErrBusy) and a retry-after hint. The MaxSessions slot wait is
-//     queue-with-deadline: bounded by Config.AdmitTimeout and IdleTimeout
+//   - Admission (Server.admit): the MaxSessions slot wait is the one gate. It
+//     is queue-with-deadline: bounded by Config.AdmitTimeout and IdleTimeout
 //     (whichever is tighter) and always interruptible by Shutdown — a waiter
-//     can no longer outlive the server.
+//     can no longer outlive the server. A connection that outwaits the bound
+//     is rejected with a typed busy error frame (tracelog.ErrBusy) and a
+//     retry-after hint.
 //   - Pressure (Server.pressureLevel): a 0..3 level computed from live slot
 //     occupancy and the waiter count; a session that had to park for its own
 //     slot is full pressure outright. Level 0 is the no-overload fast path on
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -76,64 +74,16 @@ func (s *Server) pressureLevel() int {
 // rejectError is an admission refusal on its way to the client as a typed
 // busy error frame.
 type rejectError struct {
-	reason     string // metric label: "rate", "slots", "shutdown"
-	msg        string
-	retryAfter time.Duration
+	reason string // metric label: "slots", "shutdown"
+	msg    string
 }
 
 func (e *rejectError) Error() string { return "ingest: admission rejected: " + e.msg }
 
-// tokenBucket paces session admission. Plain mutex + monotonic clock — a
-// session admission is a heavyweight event (a whole pipeline spins up behind
-// it), so a lock here costs nothing measurable.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}
-}
-
-// take consumes one token, or reports how long until one accrues.
-func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	wait := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return false, wait
-}
-
-// admit is the first phase of a session: the rate gate (the cheap refusal,
-// before any slot state is touched), the slot gate, the pressure level, the
-// degradation ladder and the registry entry. A nil rejection means the
+// admit is the first phase of a session: the slot gate, the pressure level,
+// the degradation ladder and the registry entry. A nil rejection means the
 // caller holds a MaxSessions slot and a registered session.
 func (s *Server) admit(name string) (*sessionRun, *rejectError) {
-	if s.bucket != nil {
-		if ok, retry := s.bucket.take(time.Now()); !ok {
-			return nil, &rejectError{
-				reason:     "rate",
-				msg:        fmt.Sprintf("admission rate %.3g/s exceeded", s.cfg.AdmitRate),
-				retryAfter: retry,
-			}
-		}
-	}
 	waited, rej := s.acquireSlot()
 	if rej != nil {
 		return nil, rej
@@ -209,9 +159,8 @@ func (s *Server) acquireSlot() (waited bool, rej *rejectError) {
 		return true, nil
 	case <-deadline:
 		return true, &rejectError{
-			reason:     "slots",
-			msg:        fmt.Sprintf("no analysis slot within %s (%d in use)", s.slotWaitBound(), cap(s.sem)),
-			retryAfter: slotRetryAfter,
+			reason: "slots",
+			msg:    fmt.Sprintf("no analysis slot within %s (%d in use)", s.slotWaitBound(), cap(s.sem)),
 		}
 	case <-s.loop.shutdown:
 		return true, &rejectError{reason: "shutdown", msg: "server shutting down"}
@@ -228,8 +177,7 @@ func (s *Server) slotWaitBound() time.Duration {
 	return d
 }
 
-// slotRetryAfter is the backoff hint attached to slot-timeout rejections.
-// Rate rejections compute their own hint from the bucket.
+// slotRetryAfter is the backoff hint attached to every busy rejection.
 const slotRetryAfter = time.Second
 
 // reject answers a refused connection: the typed busy frame (or a plain
@@ -246,7 +194,7 @@ func (s *Server) reject(conn net.Conn, fw *tracelog.FrameWriter, rej *rejectErro
 		fw.Error(rej.msg)
 		return
 	}
-	fw.Error(tracelog.BusyMessage(rej.msg, rej.retryAfter))
+	fw.Error(tracelog.BusyMessage(rej.msg, slotRetryAfter))
 	conn.SetReadDeadline(time.Now().Add(rejectDrainTimeout))
 	io.Copy(io.Discard, conn)
 }

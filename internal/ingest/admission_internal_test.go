@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/harness"
@@ -129,33 +128,6 @@ func TestBlockHashKeepsShardDecisions(t *testing.T) {
 		if lo, hi := ids*pct/100*9/10, ids*pct/100*11/10; kept < lo || kept > hi {
 			t.Errorf("keep %d%%: %d of %d blocks kept, want within [%d, %d]", pct, kept, ids, lo, hi)
 		}
-	}
-}
-
-// TestTokenBucket pins refill arithmetic against an injected clock.
-func TestTokenBucket(t *testing.T) {
-	b := newTokenBucket(2, 2) // 2 tokens/s, burst 2
-	now := time.Unix(1000, 0)
-	for i := 0; i < 2; i++ {
-		if ok, _ := b.take(now); !ok {
-			t.Fatalf("take %d within burst refused", i+1)
-		}
-	}
-	ok, retry := b.take(now)
-	if ok {
-		t.Fatal("take beyond burst admitted")
-	}
-	if retry != 500*time.Millisecond {
-		t.Errorf("retry hint = %v, want 500ms (one token at 2/s)", retry)
-	}
-	if ok, _ := b.take(now.Add(500 * time.Millisecond)); !ok {
-		t.Error("take after the hinted refill refused")
-	}
-	// The hint never degenerates below a millisecond.
-	tight := newTokenBucket(1e6, 1)
-	tight.take(now)
-	if _, retry := tight.take(now); retry < time.Millisecond {
-		t.Errorf("retry hint = %v, want >= 1ms", retry)
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 // step-wise Hello → SendMetadata/SendEvents... → Finish sequence open-loop
 // producers use to pace their stream.
 type Client struct {
-	conn  net.Conn
-	fw    *tracelog.FrameWriter
-	fr    *tracelog.FrameReader
-	pacer *Backoff
+	conn net.Conn
+	fw   *tracelog.FrameWriter
+	fr   *tracelog.FrameReader
 }
 
 // Dial connects to a server at a "network:address" spec (see Listen).
@@ -43,12 +42,6 @@ func NewClient(conn net.Conn) *Client {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// SetPacer attaches a shared cooperative-backoff governor: while it is hot
-// (a recent busy rejection anywhere in the process), SendEvents pauses
-// Backoff.Pace before each chunk, lowering this client's send rate instead
-// of competing at full speed. nil detaches.
-func (c *Client) SetPacer(b *Backoff) { c.pacer = b }
-
 // Hello opens a session under the given name.
 func (c *Client) Hello(name string) error {
 	if err := c.fw.Hello(name); err != nil {
@@ -71,9 +64,6 @@ func (c *Client) SendMetadata(md *tracelog.Metadata) error {
 // wire — the flush is what makes open-loop pacing real, and what lets the
 // server's backpressure (a full pipeline) block this call.
 func (c *Client) SendEvents(chunk []byte) error {
-	if c.pacer != nil {
-		c.pacer.Pace()
-	}
 	if err := c.fw.Events(chunk); err != nil {
 		return fmt.Errorf("ingest: events: %w", err)
 	}

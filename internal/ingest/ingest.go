@@ -84,19 +84,13 @@ type Config struct {
 	// their stream is read.
 	MaxSessions int
 	// AdmitTimeout bounds how long an accepted connection may wait for a
-	// MaxSessions slot before the server rejects it with a typed busy error
-	// frame (tracelog.ErrBusy) carrying a retry-after hint. 0 keeps the
-	// delay-not-drop default: the connection waits until a slot frees or the
-	// server shuts down (the wait is always bounded by Shutdown, and by
-	// IdleTimeout when set — a parked waiter is an idle connection).
+	// MaxSessions slot — the server's one admission gate — before the server
+	// rejects it with a typed busy error frame (tracelog.ErrBusy) carrying a
+	// one-second retry-after hint. 0 keeps the delay-not-drop default: the
+	// connection waits until a slot frees or the server shuts down (the wait
+	// is always bounded by Shutdown, and by IdleTimeout when set — a parked
+	// waiter is an idle connection).
 	AdmitTimeout time.Duration
-	// AdmitRate > 0 enables token-bucket admission pacing: sessions are
-	// admitted at this sustained rate (sessions/second) with bursts up to
-	// AdmitBurst (default MaxSessions). A connection arriving on an empty
-	// bucket is rejected immediately with a typed busy error and a
-	// retry-after hint sized to the bucket's refill. 0 disables the gate.
-	AdmitRate  float64
-	AdmitBurst int
 	// AdaptiveSampling lets sessions admitted under overload pressure shed a
 	// deterministic per-block fraction of memory-access events before
 	// analysis (see the sampler in admission.go). Exact sampled-out counts
@@ -500,7 +494,6 @@ type Server struct {
 
 	sem         chan struct{} // MaxSessions slots
 	slotWaiters atomic.Int64  // connections parked waiting for a slot
-	bucket      *tokenBucket  // admission pacing; nil when AdmitRate is 0
 }
 
 // DrainSummary is the outcome of a Shutdown flush: how many sessions were
@@ -544,13 +537,6 @@ func NewServer(cfg Config) (*Server, error) {
 		observe = s.met.observeFrame
 	}
 	s.loop = newConnLoop(cfg.IdleTimeout, observe, s.serveConn)
-	if cfg.AdmitRate > 0 {
-		burst := cfg.AdmitBurst
-		if burst <= 0 {
-			burst = cfg.MaxSessions
-		}
-		s.bucket = newTokenBucket(cfg.AdmitRate, burst)
-	}
 	return s, nil
 }
 
@@ -630,8 +616,8 @@ func (s *Server) serveConn(conn net.Conn, fr *tracelog.FrameReader, fw *tracelog
 	// A session occupies an analysis slot for its whole pipeline lifetime;
 	// waiting here (before any stream is read) is the cross-session
 	// backpressure described in the package comment. The wait is bounded
-	// (admission.go): past the rate gate or the slot deadline the client is
-	// answered with a typed busy frame instead of parking forever.
+	// (admission.go): past the slot deadline the client is answered with a
+	// typed busy frame instead of parking forever.
 	run, rej := s.admit(meta)
 	if rej != nil {
 		s.reject(conn, fw, rej)

@@ -73,7 +73,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		snapshotsTaken: reg.Counter("ingest_snapshots_taken_total", "Incremental session snapshots taken (ReportInterval)."),
 		warnings:       reg.CounterVec("ingest_tool_warning_sites_total", "Distinct warning sites in final session reports, per tool.", "tool"),
 		admissionRejects: reg.CounterVec("ingest_admission_rejected_total",
-			"Session connections refused with a busy error, by reason (rate, slots, shutdown).", "reason"),
+			"Session connections refused with a busy error, by reason (slots, shutdown).", "reason"),
 		slotWaiters:       reg.Gauge("ingest_slot_waiters", "Connections currently parked waiting for a MaxSessions slot."),
 		pressure:          reg.Gauge("ingest_pressure_level", "Overload pressure level at the last probe (0 none .. 3 full)."),
 		sampledOut:        reg.Counter("ingest_sampled_events_total", "Access events shed by adaptive sampling under overload pressure."),
