@@ -1,14 +1,19 @@
 package engine_test
 
 import (
+	"bytes"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/lockset"
+	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/trace"
+	"repro/internal/tracelog"
+	"repro/internal/vm"
 )
 
 // nopTool ignores every event — dispatch overhead with zero analysis cost,
@@ -114,4 +119,120 @@ func TestZeroAllocDetectorPath(t *testing.T) {
 			t.Logf("%.4f allocs/event (%d events)", perEvent, len(events))
 		})
 	}
+}
+
+// recordFlood records a scaled-down warning flood: every worker walks the
+// same sites (distinct lines in a few functions), each an unlocked
+// load+store on its own word, repeated reps times — so nearly every access
+// after the first pass folds into an existing site. The block is not freed,
+// so its shadow state survives the run.
+func recordFlood(t *testing.T, threads, sites, reps int) (*vm.VM, []tracelog.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := tracelog.NewRecorder(&buf)
+	v := vm.New(vm.Options{Seed: 1, Quantum: 10})
+	v.AddTool(rec)
+	err := v.Run(func(main *vm.Thread) {
+		b := main.Alloc(sites*8, "flood")
+		workers := make([]*vm.Thread, threads)
+		for th := range workers {
+			workers[th] = main.Go(fmt.Sprintf("flood-%d", th), func(t *vm.Thread) {
+				for s := 0; s < sites; s++ {
+					pop := t.Func(fmt.Sprintf("Flood::stage%d", s/10), "flood.cc", 100*(s/10))
+					t.SetLine(100*(s/10) + s%10 + 1)
+					for r := 0; r < reps; r++ {
+						b.Store64(t, s*8, b.Load64(t, s*8)+1)
+					}
+					pop()
+				}
+			})
+		}
+		for _, w := range workers {
+			main.Join(w)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return v, decodeEvents(t, buf.Bytes())
+}
+
+// TestZeroAllocFoldedWarning budgets the reporting path: a warning that
+// folds into an existing site costs a count increment and nothing on the
+// heap, whether it enters the collector directly or through the lock-set
+// detector's SHARED-MODIFIED state, and a flood of such warnings through the
+// whole six-tool registry stays within the end-to-end budget.
+func TestZeroAllocFoldedWarning(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments every access; budget enforced by the non-race CI step")
+	}
+	t.Run("collector-add", func(t *testing.T) {
+		col := report.NewCollector(nil, nil)
+		w := report.Warning{Tool: "helgrind", Kind: report.KindRace, Addr: 0x1000, Stack: 3, State: "shared modified, no locks"}
+		if !col.Add(w) {
+			t.Fatal("first occurrence did not open a site")
+		}
+		if allocs := testing.AllocsPerRun(100, func() { col.Add(w) }); allocs != 0 {
+			t.Errorf("folded Collector.Add allocated %.1f per call, want 0", allocs)
+		}
+		if got := col.Sites()[0].Count; got != 102 {
+			t.Errorf("site count %d, want 102", got)
+		}
+	})
+
+	t.Run("lockset-shared-modified", func(t *testing.T) {
+		v, events := recordFlood(t, 2, 4, 4)
+		col := report.NewCollector(v, nil)
+		d := lockset.New(lockset.ConfigHWLCDR(), col)
+		var racy *trace.Access
+		for i := range events {
+			events[i].Deliver(d)
+			if events[i].Op == tracelog.OpAccess && events[i].Access.Kind == trace.Write {
+				racy = &events[i].Access
+			}
+		}
+		if col.Locations() == 0 || racy == nil {
+			t.Fatal("the flood raised no lock-set warning")
+		}
+		sites := col.Locations()
+		if allocs := testing.AllocsPerRun(100, func() { d.Access(racy) }); allocs != 0 {
+			t.Errorf("racy access on a SHARED-MODIFIED granule allocated %.1f per call, want 0", allocs)
+		}
+		if col.Locations() != sites {
+			t.Errorf("repeated access opened new sites: %d, want %d", col.Locations(), sites)
+		}
+	})
+
+	t.Run("flood-all-tools", func(t *testing.T) {
+		v, events := recordFlood(t, 3, 200, 8)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		sites := 0
+		run := func() {
+			seq, err := engine.NewSequential(engine.Options{Tools: scenario.AllTools(), Resolver: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range events {
+				events[i].Deliver(seq)
+			}
+			col, err := seq.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites = col.Locations()
+		}
+		run() // warm pooled buffers
+		allocs := testing.AllocsPerRun(5, run)
+		if sites == 0 {
+			t.Fatal("the flood raised no warning")
+		}
+		perEvent := allocs / float64(len(events))
+		if perEvent > 1 {
+			t.Errorf("%.4f allocs/event (%.0f allocs per %d-event run, %d sites), budget 1", perEvent, allocs, len(events), sites)
+		}
+		t.Logf("%.4f allocs/event (%d events, %d sites)", perEvent, len(events), sites)
+	})
 }

@@ -782,6 +782,21 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 	return nil
 }
 
+// reportBufs recycles the buffers finish renders reports into, so a
+// session's report is rendered straight into a buffer already its size and
+// written to the connection from there.
+var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReport bounds what reportBufs retains: a buffer grown past it by
+// an outsized report is left to the garbage collector.
+const maxPooledReport = 4 << 20
+
+func putReportBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledReport {
+		reportBufs.Put(bp)
+	}
+}
+
 // finish is the last phase of a session: it closes the pipeline, renders
 // the report and writes it — as a tracelog.BackendResult frame for an
 // assign-opened session, as a report frame otherwise.
@@ -797,7 +812,11 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 	// for this session (write-then-mark would race that query). A failed
 	// delivery downgrades the session to failed afterwards. A degraded
 	// session's report says so up front — exact counts, never silently.
-	text := degradedHeader(run.sampledOut(), run.shed) + col.Format()
+	bp := reportBufs.Get().(*[]byte)
+	defer putReportBuf(bp)
+	text := append((*bp)[:0], degradedHeader(run.sampledOut(), run.shed)...)
+	text = col.AppendFormat(text)
+	*bp = text
 	sess.mu.Lock()
 	sess.transitionLocked(StateReported)
 	sess.col = col
@@ -813,7 +832,7 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 		// The router gets the structured result: the rendered text it relays
 		// to the client, plus the portable collector and summaries it folds
 		// into the fleet aggregate.
-		res.Report = text
+		res.Report = string(text)
 		err = fw.BackendReport(res.Append(nil))
 	} else {
 		err = fw.Report(text)

@@ -320,7 +320,7 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 	}
 	b.reported.Add(1)
 	r.finish(id, name, b.spec, "reported", res)
-	fw.Report(res.Report)
+	fw.Report([]byte(res.Report))
 }
 
 // settleEarlyClose disambiguates a mid-pump write failure: a backend that

@@ -156,7 +156,7 @@ func (l *connLoop) drain(ctx context.Context) error {
 // reply answers a query with its rendered text. An oversized response is
 // refused before any bytes hit the wire, so the client can still be told why.
 func reply(fw *tracelog.FrameWriter, what, text string) {
-	if err := fw.Report(text); err != nil {
+	if err := fw.Report([]byte(text)); err != nil {
 		fw.Error(fmt.Sprintf("%s: %v", what, err))
 	}
 }

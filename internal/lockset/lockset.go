@@ -135,6 +135,16 @@ func (s state) String() string {
 	}
 }
 
+// noLocksDesc is each state's "Previous state" text for an empty lock-set,
+// built once from String.
+var noLocksDesc [stSharedMod + 1]string
+
+func init() {
+	for s := range noLocksDesc {
+		noLocksDesc[s] = state(s).String() + ", no locks"
+	}
+}
+
 // gran is the per-granule shadow state.
 type gran struct {
 	st       state
@@ -414,14 +424,16 @@ func (d *Detector) reportWithSet(g *gran, a *trace.Access, prev state, prevSet S
 	// Every violating access reports; the collector deduplicates per call
 	// stack, which matches how Helgrind output is triaged (and suppressed)
 	// in practice — by stack pattern, one "location" per distinct site.
-	stateDesc := prev.String()
+	var stateDesc string
 	switch {
 	case prev == stExclusive:
 		stateDesc = fmt.Sprintf("exclusive to thread %d", g.ownerTh)
 	case prevSet == EmptySet:
-		stateDesc += ", no locks"
+		// Every racy access in SHARED-MODIFIED lands here: a constant keeps
+		// the folded repeat free of allocation.
+		stateDesc = noLocksDesc[prev]
 	default:
-		stateDesc += fmt.Sprintf(", %d candidate lock(s)", d.sets.Size(prevSet))
+		stateDesc = fmt.Sprintf("%s, %d candidate lock(s)", prev, d.sets.Size(prevSet))
 	}
 	d.col.Add(report.Warning{
 		Tool:   d.cfg.Tool,

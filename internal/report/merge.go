@@ -2,7 +2,9 @@ package report
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -60,20 +62,32 @@ func Merge(res trace.Resolver, sup Suppressor, parts ...*Collector) *Collector {
 			}
 		}
 	}
-	sort.SliceStable(out.order, func(i, j int) bool {
-		a, b := out.order[i], out.order[j]
-		wa, wb := out.sites[a], out.sites[b]
-		if wa.Seq != wb.Seq {
-			return wa.Seq < wb.Seq
+	// Sort (sequence, key) pairs, not the keys alone: a comparison then
+	// reads no map. The sort is stable, so the order is the same as sorting
+	// the keys with the sequences looked up.
+	type entry struct {
+		seq uint64
+		key SiteKey
+	}
+	ents := make([]entry, len(out.order))
+	for i, k := range out.order {
+		ents[i] = entry{out.sites[k].Seq, k}
+	}
+	slices.SortStableFunc(ents, func(a, b entry) int {
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
 		}
-		if a.Tool != b.Tool {
-			return a.Tool < b.Tool
+		if c := strings.Compare(a.key.Tool, b.key.Tool); c != 0 {
+			return c
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+		if c := cmp.Compare(a.key.Kind, b.key.Kind); c != 0 {
+			return c
 		}
-		return bytes.Compare(a.Loc[:], b.Loc[:]) < 0
+		return bytes.Compare(a.key.Loc[:], b.key.Loc[:])
 	})
+	for i, e := range ents {
+		out.order[i] = e.key
+	}
 	return out
 }
 

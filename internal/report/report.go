@@ -11,6 +11,7 @@ package report
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/trace"
@@ -73,7 +74,8 @@ func (c *Collector) SetSequencer(fn func() uint64) { c.seq = fn }
 // Add records a warning occurrence, implementing trace.Reporter. The first
 // occurrence at a site retains its details; later ones only bump the count.
 // Add reports whether the warning was a new site (neither folded nor
-// suppressed).
+// suppressed). A folded occurrence allocates nothing: w is copied to the
+// heap only when it opens a site.
 func (c *Collector) Add(w Warning) bool {
 	c.total++
 	key := SiteKey{Tool: w.Tool, Kind: w.Kind, Loc: c.locKey(w.Stack)}
@@ -90,8 +92,10 @@ func (c *Collector) Add(w Warning) bool {
 			return false
 		}
 	}
-	w.Count = 1
-	c.sites[key] = &w
+	site := new(Warning)
+	*site = w
+	site.Count = 1
+	c.sites[key] = site
 	c.order = append(c.order, key)
 	return true
 }
@@ -201,67 +205,153 @@ func (c *Collector) Keys() []SiteKey {
 
 // Format renders all warning sites in a Helgrind-like textual format.
 func (c *Collector) Format() string {
-	var b strings.Builder
-	for _, w := range c.Sites() {
-		b.WriteString(FormatWarning(w, c.res))
-		b.WriteByte('\n')
+	return string(c.AppendFormat(nil))
+}
+
+// AppendFormat appends the Format rendering to dst and returns the extended
+// buffer. Each stack is resolved and rendered once per call: a stack shared
+// by many sites (a common allocation site, say) is copied from where it was
+// first rendered.
+func (c *Collector) AppendFormat(dst []byte) []byte {
+	memo := make(stackMemo, len(c.order))
+	for _, k := range c.order {
+		dst = appendWarning(dst, c.sites[k], c.res, memo)
+		dst = append(dst, '\n')
 	}
-	fmt.Fprintf(&b, "== %d distinct location(s), %d occurrence(s), %d suppressed site(s)\n",
-		c.Locations(), c.Occurrences(), c.suppressed)
-	return b.String()
+	dst = append(dst, "== "...)
+	dst = strconv.AppendInt(dst, int64(c.Locations()), 10)
+	dst = append(dst, " distinct location(s), "...)
+	dst = strconv.AppendInt(dst, int64(c.Occurrences()), 10)
+	dst = append(dst, " occurrence(s), "...)
+	dst = strconv.AppendInt(dst, int64(c.suppressed), 10)
+	return append(dst, " suppressed site(s)\n"...)
 }
 
 // FormatWarning renders one warning in a Helgrind-like format (cf. Fig. 9 of
 // the paper).
 func FormatWarning(w *Warning, res trace.Resolver) string {
-	var b strings.Builder
+	return string(appendWarning(nil, w, res, nil))
+}
+
+// stackMemo records, per stack, the byte range of dst its rendered frames
+// already occupy within one AppendFormat call.
+type stackMemo map[trace.StackID][2]int
+
+func appendWarning(dst []byte, w *Warning, res trace.Resolver, memo stackMemo) []byte {
 	switch w.Kind {
 	case KindRace:
-		fmt.Fprintf(&b, "==%s== Possible data race %s variable at 0x%X\n", w.Tool, w.Access, w.Addr)
+		dst = appendTool(dst, w.Tool, " Possible data race ")
+		dst = append(dst, w.Access.String()...)
+		dst = append(dst, " variable at 0x"...)
+		dst = appendHexUpper(dst, uint64(w.Addr))
+		dst = append(dst, '\n')
 	case KindDeadlock:
-		fmt.Fprintf(&b, "==%s== Lock order violation involving address 0x%X\n", w.Tool, w.Addr)
+		dst = appendTool(dst, w.Tool, " Lock order violation involving address 0x")
+		dst = appendHexUpper(dst, uint64(w.Addr))
+		dst = append(dst, '\n')
 	case KindUseAfterFree:
-		fmt.Fprintf(&b, "==%s== Invalid %s of size %d at 0x%X (freed block)\n", w.Tool, w.Access, w.Size, w.Addr)
+		dst = appendTool(dst, w.Tool, " Invalid ")
+		dst = append(dst, w.Access.String()...)
+		dst = append(dst, " of size "...)
+		dst = strconv.AppendUint(dst, uint64(w.Size), 10)
+		dst = append(dst, " at 0x"...)
+		dst = appendHexUpper(dst, uint64(w.Addr))
+		dst = append(dst, " (freed block)\n"...)
 	case KindInvalidFree:
-		fmt.Fprintf(&b, "==%s== Invalid free at 0x%X\n", w.Tool, w.Addr)
+		dst = appendTool(dst, w.Tool, " Invalid free at 0x")
+		dst = appendHexUpper(dst, uint64(w.Addr))
+		dst = append(dst, '\n')
 	case KindHighLevel:
-		fmt.Fprintf(&b, "==%s== High-level data race (inconsistent lock granularity)\n", w.Tool)
+		dst = appendTool(dst, w.Tool, " High-level data race (inconsistent lock granularity)\n")
 	}
-	writeStack(&b, w.Stack, res, "   ")
+	dst = appendStack(dst, w.Stack, res, memo)
 	if res != nil {
 		if blk := res.BlockInfo(w.Block); blk != nil {
-			fmt.Fprintf(&b, "==%s== Address 0x%X is %d bytes inside a block of size %d (%s) alloc'd by thread %d\n",
-				w.Tool, w.Addr, w.Off, blk.Size, blk.Tag, blk.Thread)
-			writeStack(&b, blk.Stack, res, "   ")
+			dst = appendTool(dst, w.Tool, " Address 0x")
+			dst = appendHexUpper(dst, uint64(w.Addr))
+			dst = append(dst, " is "...)
+			dst = strconv.AppendUint(dst, uint64(w.Off), 10)
+			dst = append(dst, " bytes inside a block of size "...)
+			dst = strconv.AppendUint(dst, uint64(blk.Size), 10)
+			dst = append(dst, " ("...)
+			dst = append(dst, blk.Tag...)
+			dst = append(dst, ") alloc'd by thread "...)
+			dst = strconv.AppendInt(dst, int64(blk.Thread), 10)
+			dst = append(dst, '\n')
+			dst = appendStack(dst, blk.Stack, res, memo)
 		}
 	}
 	if w.PrevStack != trace.NoStack {
-		fmt.Fprintf(&b, "==%s== Conflicts with a previous access\n", w.Tool)
-		writeStack(&b, w.PrevStack, res, "   ")
+		dst = appendTool(dst, w.Tool, " Conflicts with a previous access\n")
+		dst = appendStack(dst, w.PrevStack, res, memo)
 	}
 	if w.State != "" {
-		fmt.Fprintf(&b, "==%s== Previous state: %s\n", w.Tool, w.State)
+		dst = appendTool(dst, w.Tool, " Previous state: ")
+		dst = append(dst, w.State...)
+		dst = append(dst, '\n')
 	}
 	if w.Count > 1 {
-		fmt.Fprintf(&b, "==%s== (%d occurrences at this site)\n", w.Tool, w.Count)
+		dst = appendTool(dst, w.Tool, " (")
+		dst = strconv.AppendInt(dst, int64(w.Count), 10)
+		dst = append(dst, " occurrences at this site)\n"...)
 	}
-	return b.String()
+	return dst
 }
 
-func writeStack(b *strings.Builder, id trace.StackID, res trace.Resolver, indent string) {
+// appendTool appends a line's "==tool==" prefix followed by text.
+func appendTool(dst []byte, tool, text string) []byte {
+	dst = append(dst, "=="...)
+	dst = append(dst, tool...)
+	dst = append(dst, "=="...)
+	return append(dst, text...)
+}
+
+// appendStack appends a stack's frames, innermost first like Helgrind, each
+// on its own indented line. With a memo, a stack already rendered into dst
+// is copied from there rather than resolved again.
+func appendStack(dst []byte, id trace.StackID, res trace.Resolver, memo stackMemo) []byte {
 	if res == nil || id == trace.NoStack {
-		return
+		return dst
 	}
+	if r, ok := memo[id]; ok {
+		return append(dst, dst[r[0]:r[1]]...)
+	}
+	start := len(dst)
 	frames := res.Stack(id)
-	for i := len(frames) - 1; i >= 0; i-- { // innermost first, like Helgrind
+	for i := len(frames) - 1; i >= 0; i-- {
 		f := frames[i]
-		pos := i == len(frames)-1
-		prefix := "by"
-		if pos {
-			prefix = "at"
+		if i == len(frames)-1 {
+			dst = append(dst, "   at "...)
+		} else {
+			dst = append(dst, "   by "...)
 		}
-		fmt.Fprintf(b, "%s%s %s (%s:%d)\n", indent, prefix, f.Fn, f.File, f.Line)
+		dst = append(dst, f.Fn...)
+		dst = append(dst, " ("...)
+		dst = append(dst, f.File...)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(f.Line), 10)
+		dst = append(dst, ")\n"...)
 	}
+	if memo != nil {
+		memo[id] = [2]int{start, len(dst)}
+	}
+	return dst
+}
+
+// appendHexUpper appends v in uppercase hexadecimal, as fmt's %X does.
+func appendHexUpper(dst []byte, v uint64) []byte {
+	const digits = "0123456789ABCDEF"
+	var buf [16]byte
+	i := len(buf)
+	for {
+		i--
+		buf[i] = digits[v&0xF]
+		v >>= 4
+		if v == 0 {
+			break
+		}
+	}
+	return append(dst, buf[i:]...)
 }
 
 // Summary is a compact per-kind rollup.

@@ -369,14 +369,16 @@ func (fw *FrameWriter) End() error {
 	return fw.Flush()
 }
 
-// Report sends a rendered analysis report and flushes. A report beyond
-// MaxFramePayload is refused here, where the caller can still answer with an
-// error frame — sending it would make the peer reject the frame unread.
-func (fw *FrameWriter) Report(text string) error {
+// Report sends a rendered analysis report and flushes. The text is written
+// from the caller's buffer without a copy; the caller may reuse it once
+// Report returns. A report beyond MaxFramePayload is refused here, where the
+// caller can still answer with an error frame — sending it would make the
+// peer reject the frame unread.
+func (fw *FrameWriter) Report(text []byte) error {
 	if len(text) > MaxFramePayload {
 		return fmt.Errorf("tracelog: report of %d bytes exceeds the frame limit %d", len(text), MaxFramePayload)
 	}
-	if err := fw.frame(FrameReport, []byte(text)); err != nil {
+	if err := fw.frame(FrameReport, text); err != nil {
 		return err
 	}
 	return fw.Flush()

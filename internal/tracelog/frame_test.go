@@ -338,7 +338,7 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := tracelog.NewFrameWriter(&buf)
 	const report = "== 3 distinct location(s)\n"
-	if err := fw.Report(report); err != nil {
+	if err := fw.Report([]byte(report)); err != nil {
 		t.Fatal(err)
 	}
 	fr := tracelog.NewFrameReader(bytes.NewReader(buf.Bytes()))

@@ -23,8 +23,6 @@
 package vectorclock
 
 import (
-	"fmt"
-
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -195,7 +193,7 @@ func (d *Detector) report(c *shadowCell, a *trace.Access, prevStack trace.StackI
 		Access:    a.Kind,
 		Stack:     a.Stack,
 		PrevStack: prevStack,
-		State:     fmt.Sprintf("unordered with previous access by vector-clock"),
+		State:     "unordered with previous access by vector-clock",
 	})
 }
 
