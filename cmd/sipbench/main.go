@@ -11,6 +11,9 @@
 //	sipbench -case T4        # single test case, all configurations, with families
 //	sipbench -pool           # run under the Fig. 11 thread-pool pattern
 //	sipbench -seed 7         # different schedule
+//	sipbench -quantum 5      # different scheduling quantum (default 3)
+//	sipbench -suppressions builtin   # stock libstdc++/destructor rules (§2.3.1)
+//	sipbench -suppressions my.supp   # a Valgrind-style suppression file
 package main
 
 import (

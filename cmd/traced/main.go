@@ -49,6 +49,7 @@
 //	traced -listen tcp:127.0.0.1:7433 -report-interval 500ms -retain 128 -idle-timeout 30s
 //	traced -listen tcp:127.0.0.1:7433 -http 127.0.0.1:9090 -stats-interval 10s
 //	traced -listen unix:/tmp/traced.sock -max-sessions 4 -admit-timeout 500ms -sampling -ladder
+//	traced -listen unix:/tmp/traced.sock -grace 5s    # shutdown drain bound (default 30s)
 //
 // # Multi-process tier
 //

@@ -38,6 +38,7 @@
 //	traceload -inproc -generate 4 -sessions 8 -rate 50000 -verify
 //	traceload -addr unix:/tmp/traced.sock -sessions 64 -flood -flood-retries 2
 //	traceload -addr tcp:127.0.0.1:7433 -query stats
+//	traceload -inproc -generate 4 -sessions 8 -chunk 4096   # events frame chunk in bytes (default 64 KiB, closed loop)
 //
 // -query runs one standalone query exchange against a live daemon ("stats"
 // fetches the server's metrics snapshot, "aggregate"/"sessions"/"session

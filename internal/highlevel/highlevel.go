@@ -16,7 +16,7 @@ package highlevel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -53,6 +53,7 @@ type varKey struct {
 
 type view struct {
 	vars  map[varKey]struct{}
+	keys  []varKey      // vars sorted; kept only for recorded views
 	stack trace.StackID // acquisition site
 	addr  trace.Addr    // representative address (first access)
 	block trace.BlockID
@@ -111,6 +112,14 @@ type Detector struct {
 	pool       []*view
 	scratchKey []varKey
 	scratchBuf []byte
+
+	// Finish's reused buffers: the maximal views of one thread, and per
+	// violates call the intersections' keys, their spans and a copy of the
+	// spans to sort.
+	maximal []*view
+	arena   []varKey
+	inters  []inter
+	sorted  []inter
 }
 
 // Spec registers the detector with the analysis engine's tool registry. The
@@ -155,7 +164,7 @@ func (d *Detector) Acquire(t trace.ThreadID, l trace.LockID, _ trace.LockKind, s
 		v := d.pool[n-1]
 		d.pool = d.pool[:n-1]
 		clear(v.vars)
-		*v = view{vars: v.vars, stack: stack}
+		*v = view{vars: v.vars, keys: v.keys[:0], stack: stack}
 		m[l] = v
 		return
 	}
@@ -192,6 +201,7 @@ func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _
 		return // identical view already recorded
 	}
 	seen[string(buf)] = true
+	v.keys = append(v.keys[:0], keys...)
 	byThread[t] = append(byThread[t], v)
 }
 
@@ -226,25 +236,26 @@ func (d *Detector) Finish() {
 	for l := range d.views {
 		locks = append(locks, l)
 	}
-	sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
+	slices.Sort(locks)
+	var threads []trace.ThreadID
 	for _, l := range locks {
 		byThread := d.views[l]
-		threads := make([]trace.ThreadID, 0, len(byThread))
+		threads = threads[:0]
 		for t := range byThread {
 			threads = append(threads, t)
 		}
-		sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
+		slices.Sort(threads)
 		for _, t1 := range threads {
-			maximal := maximalViews(byThread[t1])
+			d.maximal = maximalViews(byThread[t1], d.maximal[:0])
 			for _, t2 := range threads {
 				if t1 == t2 {
 					continue
 				}
-				for _, m := range maximal {
-					if len(m.vars) < d.cfg.MinViewSize {
+				for _, m := range d.maximal {
+					if len(m.keys) < d.cfg.MinViewSize {
 						continue
 					}
-					if bad := violates(m, byThread[t2]); bad != nil {
+					if bad := d.violates(m, byThread[t2]); bad != nil {
 						d.report(l, m, bad)
 					}
 				}
@@ -253,14 +264,13 @@ func (d *Detector) Finish() {
 	}
 }
 
-// maximalViews returns the views not strictly contained in another view of
-// the same thread.
-func maximalViews(vs []*view) []*view {
-	var out []*view
-	for i, v := range vs {
+// maximalViews appends to out the views not strictly contained in another
+// view of the same thread, in their recorded order.
+func maximalViews(vs []*view, out []*view) []*view {
+	for _, v := range vs {
 		maximal := true
-		for j, w := range vs {
-			if i != j && subset(v.vars, w.vars) && len(v.vars) < len(w.vars) {
+		for _, w := range vs {
+			if len(v.keys) < len(w.keys) && subset(v.keys, w.keys) {
 				maximal = false
 				break
 			}
@@ -272,48 +282,105 @@ func maximalViews(vs []*view) []*view {
 	return out
 }
 
+// inter is one non-empty intersection of a maximal view with another
+// thread's view: the keys d.arena[lo:hi] and the view they came from.
+type inter struct {
+	lo, hi int32
+	src    *view
+}
+
+func byLen(a, b inter) int { return int((a.hi - a.lo) - (b.hi - b.lo)) }
+
 // violates checks whether the other thread's views intersect m in a chain;
-// it returns one offending view when they do not.
-func violates(m *view, others []*view) *view {
-	type inter struct {
-		set map[varKey]struct{}
-		src *view
+// it returns one offending view when they do not: the second member of the
+// first incomparable pair (i<j, in others' order), so that the view blamed
+// does not depend on how the chain was tested.
+func (d *Detector) violates(m *view, others []*view) *view {
+	d.intersect(m, others)
+	d.sorted = append(d.sorted[:0], d.inters...)
+	if isChain(d.arena, d.sorted) {
+		return nil
 	}
-	var inters []inter
-	for _, o := range others {
-		x := intersect(m.vars, o.vars)
-		if len(x) > 0 {
-			inters = append(inters, inter{set: x, src: o})
-		}
-	}
+	arena, inters := d.arena, d.inters
 	for i := 0; i < len(inters); i++ {
+		a := arena[inters[i].lo:inters[i].hi]
 		for j := i + 1; j < len(inters); j++ {
-			a, b := inters[i], inters[j]
-			if !subset(a.set, b.set) && !subset(b.set, a.set) {
-				return b.src
+			b := arena[inters[j].lo:inters[j].hi]
+			if !subset(a, b) && !subset(b, a) {
+				return inters[j].src
 			}
 		}
 	}
 	return nil
 }
 
-func subset(a, b map[varKey]struct{}) bool {
-	for k := range a {
-		if _, ok := b[k]; !ok {
+// intersect sets d.inters to m's non-empty intersections with others, in
+// others' order, their keys in d.arena.
+func (d *Detector) intersect(m *view, others []*view) {
+	arena, inters := d.arena[:0], d.inters[:0]
+	for _, o := range others {
+		lo := int32(len(arena))
+		arena = appendIntersect(arena, m.keys, o.keys)
+		if hi := int32(len(arena)); hi > lo {
+			inters = append(inters, inter{lo: lo, hi: hi, src: o})
+		}
+	}
+	d.arena, d.inters = arena, inters
+}
+
+// isChain reports whether the intersections xs (keys in arena) are totally
+// ordered by inclusion. It sorts xs by size and checks that each is a subset
+// of the next. That holds iff the family is a chain: if it holds, inclusion
+// is transitive along the sorted order; conversely, in a chain any two
+// neighbours a, b with |a| <= |b| satisfy a ⊆ b or b ⊆ a, and b ⊆ a with
+// |a| <= |b| means a = b. So a chain costs O(k log k) plus one merge per
+// neighbour pair, not the k²/2 pairs of the scan in violates.
+func isChain(arena []varKey, xs []inter) bool {
+	slices.SortFunc(xs, byLen)
+	for i := 1; i < len(xs); i++ {
+		a, b := xs[i-1], xs[i]
+		if !subset(arena[a.lo:a.hi], arena[b.lo:b.hi]) {
 			return false
 		}
 	}
 	return true
 }
 
-func intersect(a, b map[varKey]struct{}) map[varKey]struct{} {
-	out := make(map[varKey]struct{})
-	for k := range a {
-		if _, ok := b[k]; ok {
-			out[k] = struct{}{}
+// subset reports whether the sorted keys a are all in the sorted keys b.
+func subset(a, b []varKey) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	j := 0
+	for _, k := range a {
+		for j < len(b) && varKeyLess(b[j], k) {
+			j++
+		}
+		if j == len(b) || b[j] != k {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// appendIntersect appends the keys common to the sorted a and b to dst, in
+// order.
+func appendIntersect(dst, a, b []varKey) []varKey {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			dst = append(dst, a[i])
+			i++
+			j++
+		case varKeyLess(a[i], b[j]):
+			i++
+		default:
+			j++
 		}
 	}
-	return out
+	return dst
 }
 
 func (d *Detector) report(l trace.LockID, m, bad *view) {
@@ -326,7 +393,7 @@ func (d *Detector) report(l trace.LockID, m, bad *view) {
 		Stack:     m.stack,
 		PrevStack: bad.stack,
 		State: fmt.Sprintf("lock L%d: a view of %d variable(s) is split inconsistently by another thread",
-			l, len(m.vars)),
+			l, len(m.keys)),
 	})
 }
 
