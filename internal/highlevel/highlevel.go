@@ -99,6 +99,7 @@ type Detector struct {
 	trace.BaseSink
 	cfg      Config
 	col      trace.Reporter
+	cells    map[trace.BlockID]int // live blocks' granule counts
 	open     map[trace.ThreadID]map[trace.LockID]*view
 	views    map[trace.LockID]map[trace.ThreadID][]*view
 	viewKeys map[trace.LockID]map[trace.ThreadID]map[string]bool
@@ -140,6 +141,7 @@ func New(cfg Config, col trace.Reporter) *Detector {
 	return &Detector{
 		cfg:      cfg.withDefaults(),
 		col:      col,
+		cells:    make(map[trace.BlockID]int),
 		open:     make(map[trace.ThreadID]map[trace.LockID]*view),
 		views:    make(map[trace.LockID]map[trace.ThreadID][]*view),
 		viewKeys: make(map[trace.LockID]map[trace.ThreadID]map[string]bool),
@@ -205,22 +207,35 @@ func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _
 	byThread[t] = append(byThread[t], v)
 }
 
-// Access implements trace.Sink: adds the location to every critical section
-// the thread currently has open.
+// Alloc implements trace.Sink: the block's granules are the variables its
+// accesses can touch.
+func (d *Detector) Alloc(b *trace.Block) {
+	d.cells[b.ID] = (int(b.Size) + d.cfg.Granule - 1) / d.cfg.Granule
+}
+
+// Free implements trace.Sink: accesses to a freed block touch no variable.
+func (d *Detector) Free(b *trace.Block, _ trace.ThreadID, _ trace.StackID) {
+	delete(d.cells, b.ID)
+}
+
+// Access implements trace.Sink: adds the granules the access touches inside
+// its block to every critical section the thread currently has open.
 func (d *Detector) Access(a *trace.Access) {
 	m := d.open[a.Thread]
 	if len(m) == 0 {
 		return
 	}
-	lo := a.Off / uint32(d.cfg.Granule)
-	hi := (a.Off + a.Size - 1) / uint32(d.cfg.Granule)
+	lo, hi := trace.Granules(a.Off, a.Size, d.cfg.Granule, d.cells[a.Block])
+	if lo >= hi {
+		return
+	}
 	for _, v := range m {
 		if len(v.vars) == 0 {
 			v.addr = a.Addr
 			v.block = a.Block
 		}
-		for g := lo; g <= hi; g++ {
-			v.vars[varKey{block: a.Block, gran: g}] = struct{}{}
+		for g := lo; g < hi; g++ {
+			v.vars[varKey{block: a.Block, gran: uint32(g)}] = struct{}{}
 		}
 	}
 }

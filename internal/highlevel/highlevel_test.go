@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -177,5 +178,32 @@ func TestFinishIdempotent(t *testing.T) {
 	d.Finish()
 	if col.Occurrences() != before {
 		t.Error("Finish is not idempotent")
+	}
+}
+
+// TestAccessStaysInBlock holds a view to the granules an access touches
+// inside its block, which the shadow tools compute with trace.Granules: a
+// zero-size access touches none, and nothing reaches past the block's end.
+// The zero-size case at offset 0 comes last because, computed in 32 bits
+// without that bound, its range wraps to 2^30 granules.
+func TestAccessStaysInBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		off, size uint32
+		want      int
+	}{
+		{"zero size at offset 5", 5, 0, 0},
+		{"1 MiB into an 8-byte block", 0, 1 << 20, 2},
+		{"straddles the block's end", 6, 4, 1},
+		{"one granule", 4, 4, 1},
+		{"zero size at offset 0", 0, 0, 0},
+	} {
+		d := New(Config{}, &recorder{})
+		d.Alloc(&trace.Block{ID: 1, Size: 8})
+		d.Acquire(1, 1, trace.Mutex, 0)
+		d.Access(&trace.Access{Thread: 1, Block: 1, Off: tc.off, Size: tc.size, Kind: trace.Write})
+		if got := len(d.open[1][1].vars); got != tc.want {
+			t.Fatalf("%s: the view holds %d variables, want %d", tc.name, got, tc.want)
+		}
 	}
 }

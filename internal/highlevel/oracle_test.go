@@ -158,6 +158,16 @@ func encodeViews(minViewSize int, secs ...section) []byte {
 	return out
 }
 
+// newFedDetector creates a detector whose blocks 1 and 2 are allocated,
+// 1 KiB each, so every variable feed touches lies inside its block.
+func newFedDetector(cfg Config, col trace.Reporter) *Detector {
+	d := New(cfg, col)
+	for id := trace.BlockID(1); id <= 2; id++ {
+		d.Alloc(&trace.Block{ID: id, Size: 1024})
+	}
+	return d
+}
+
 // feed runs one critical section through the detector's event path.
 func feed(d *Detector, t trace.ThreadID, l trace.LockID, stack trace.StackID, vars ...varKey) {
 	d.Acquire(t, l, trace.Mutex, stack)
@@ -183,7 +193,7 @@ func decodeViews(data []byte, col trace.Reporter) *Detector {
 		cfg.MinViewSize = 1 + int(data[0]%3)
 		data = data[1:]
 	}
-	d := New(cfg, col)
+	d := newFedDetector(cfg, col)
 	var vars []varKey
 	for i := 0; i+3 <= len(data) && i/3 < maxSections; i += 3 {
 		mask := uint16(data[i+1]) | uint16(data[i+2])<<8
@@ -392,7 +402,7 @@ func TestViewConsistencyCoverage(t *testing.T) {
 // 64-slot table (two granules of block 1) and the shared 8-byte counter
 // (block 2).
 func lockedTableViews() *Detector {
-	d := New(Config{}, new(recorder))
+	d := newFedDetector(Config{}, new(recorder))
 	for t := trace.ThreadID(1); t <= 2; t++ {
 		for slot := uint32(0); slot < 64; slot++ {
 			feed(d, t, 1, trace.StackID(slot+1),

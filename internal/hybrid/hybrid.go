@@ -12,11 +12,12 @@
 // reported if any later schedule breaks the ordering.
 //
 // The detector is built from its two parents' parts rather than copies of
-// them: the happens-before core of DJIT (vclock.HB), the held lock-sets and
-// bus-lock models of the lock-set detector (lockset.Held) and the block
-// shadow all three race detectors share (trace.Shadow). What is its own is
-// the per-granule cell holding both a candidate lock-set and FastTrack-style
-// epochs, and the rule that reports only when both sides agree.
+// them: the happens-before core and the epoch cell of DJIT (vclock.HB,
+// vclock.Cell), the held lock-sets and bus-lock models of the lock-set
+// detector (lockset.Held) and the block shadow all three race detectors
+// share (trace.Shadow). What is its own is a candidate lock-set beside each
+// granule's epoch cell, and the rule that reports only when both sides
+// agree.
 package hybrid
 
 import (
@@ -51,20 +52,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// cell is one granule's shadow: the happens-before side DJIT keeps, and the
+// candidate lock-set.
 type cell struct {
-	// Lock-set side.
+	vclock.Cell
 	set    lockset.SetID
 	inited bool
-	// Happens-before side. readsClean marks the read clock as holding
-	// nothing newer than the last write, so repeated writes at one epoch
-	// skip the read-set scan.
-	lastWrite  vclock.Epoch
-	writeStk   trace.StackID
-	reads      vclock.VC
-	lastRead   vclock.Epoch
-	readStk    trace.StackID
-	reported   bool
-	readsClean bool
 }
 
 // Detector is the hybrid tool: the happens-before core it shares with DJIT
@@ -139,8 +132,7 @@ func (d *Detector) Free(b *trace.Block, _ trace.ThreadID, _ trace.StackID) {
 }
 
 // Access implements trace.Sink: report only when the lock-set is empty AND
-// the accesses are unordered. Same-epoch repeats skip the redundant shadow
-// stores and the read-set scan, never the race decision itself.
+// the granule's epoch cell finds the access unordered.
 func (d *Detector) Access(a *trace.Access) {
 	sh := d.shadow.Block(a.Block)
 	lo, hi := trace.Granules(a.Off, a.Size, d.cfg.Granule, len(sh))
@@ -167,36 +159,13 @@ func (d *Detector) Access(a *trace.Access) {
 		var unordered bool
 		var prevStack trace.StackID
 		if a.Kind == trace.Read {
-			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(now) {
-				unordered = true
-				prevStack = c.writeStk
-			}
-			if c.lastRead == epoch {
-				c.readStk = a.Stack
-			} else {
-				c.reads = c.reads.Set(ti, epoch.C)
-				c.lastRead = epoch
-				c.readsClean = false
-				c.readStk = a.Stack
-			}
+			prevStack, unordered = c.Read(epoch, now, a.Stack)
 		} else {
-			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(now) {
-				unordered = true
-				prevStack = c.writeStk
-			} else if !c.readsClean && !c.reads.LEQ(now) {
-				unordered = true
-				prevStack = c.readStk
-			}
-			c.lastWrite = epoch
-			c.writeStk = a.Stack
-			if !c.readsClean {
-				c.reads.Clear()
-				c.readsClean = true
-			}
+			prevStack, unordered = c.Write(epoch, now, a.Stack)
 		}
 
-		if disciplineBroken && unordered && !c.reported {
-			c.reported = true
+		if disciplineBroken && unordered && !c.Reported {
+			c.Reported = true
 			d.col.Add(report.Warning{
 				Tool:      d.cfg.Tool,
 				Kind:      report.KindRace,

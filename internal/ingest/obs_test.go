@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -280,5 +282,54 @@ func TestDrainSummaryForced(t *testing.T) {
 	<-done
 	if d := srv.LastDrain(); d != (ingest.DrainSummary{InFlight: 1, Flushed: 0, Forced: 1}) {
 		t.Errorf("drain summary = %+v, want 1 in-flight forced", d)
+	}
+}
+
+// TestMetricCatalog holds README's metric catalog to the registry: every
+// family a Server (with the engine metrics it registers) and a Router put on
+// one registry has a catalog row with the same type and label, and every row
+// names a registered family.
+func TestMetricCatalog(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := ingest.NewServer(ingest.Config{Tools: scenario.AllTools, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingest.NewRouter(ingest.RouterConfig{Backends: []string{"unix:/nonexistent.sock"}, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	engine.NewMetrics(reg)
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "The metric catalog:\n")
+	if !ok {
+		t.Fatal("README has no metric catalog")
+	}
+	rows := map[string]obs.Family{}
+	for _, line := range strings.Split(table, "\n")[3:] {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			break
+		}
+		series := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		name, label, _ := strings.Cut(strings.TrimSuffix(series, "}"), "{")
+		rows[name] = obs.Family{Name: name, Kind: strings.TrimSpace(cells[2]), Label: label}
+	}
+	if len(rows) == 0 {
+		t.Fatal("README's metric catalog has no rows")
+	}
+	for _, f := range reg.Families() {
+		row, ok := rows[f.Name]
+		if !ok {
+			t.Errorf("%s (%s) is registered but has no catalog row", f.Name, f.Kind)
+		} else if row != f {
+			t.Errorf("catalog row %+v, registry %+v", row, f)
+		}
+		delete(rows, f.Name)
+	}
+	for name := range rows {
+		t.Errorf("catalog row %s names no registered family", name)
 	}
 }

@@ -245,6 +245,23 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	return r.register(name, help, kindHistogram, "", bounds).get("").(*Histogram)
 }
 
+// Family describes one registered metric family.
+type Family struct {
+	Name  string
+	Kind  string // "counter", "gauge" or "histogram"
+	Label string // the label key; "" when unlabelled
+}
+
+// Families lists the registered families sorted by name, whether or not
+// they hold a series yet.
+func (r *Registry) Families() []Family {
+	var out []Family
+	for _, f := range r.sortedFamilies() {
+		out = append(out, Family{Name: f.name, Kind: f.kind, Label: f.labelKey})
+	}
+	return out
+}
+
 // sortedFamilies returns the families sorted by name.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.Lock()

@@ -2,11 +2,12 @@
 // every race detector's happens-before relation.
 //
 // The package holds the DATATYPE — a growable vector of per-thread logical
-// clocks with join/compare operations — and HB, the happens-before core that
-// advances one clock per thread over a trace's synchronisation events, which
-// the DJIT, hybrid and lock-set detectors share (the last for its thread
-// segments). The DJIT-style race DETECTOR built on top of it lives in
-// internal/vectorclock.
+// clocks with join/compare operations — and two parts the detectors share:
+// HB, the happens-before core that advances one clock per thread over a
+// trace's synchronisation events (DJIT, the hybrid, and the lock-set
+// detector's thread segments), and Cell, the FastTrack-style epoch shadow of
+// one granule (DJIT and the hybrid). The DJIT-style race DETECTOR built on
+// top of them lives in internal/vectorclock.
 package vclock
 
 // VC is a vector clock: one logical clock per thread, indexed by ThreadID.
@@ -93,16 +94,6 @@ func (v VC) Clear() {
 	}
 }
 
-// Bottom reports whether every component is zero (the nil clock is bottom).
-func (v VC) Bottom() bool {
-	for _, c := range v {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // LEQ reports whether v happens-before-or-equals other (componentwise <=).
 func (v VC) LEQ(other VC) bool {
 	for i, c := range v {
@@ -114,11 +105,6 @@ func (v VC) LEQ(other VC) bool {
 		}
 	}
 	return true
-}
-
-// Concurrent reports whether neither clock is ordered before the other.
-func (v VC) Concurrent(other VC) bool {
-	return !v.LEQ(other) && !other.LEQ(v)
 }
 
 // Epoch is a compact (thread, clock) pair identifying a single event, in the

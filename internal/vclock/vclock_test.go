@@ -28,7 +28,7 @@ func TestLEQAndConcurrent(t *testing.T) {
 		t.Error("b should not be <= a")
 	}
 	c := VC{}.Set(2, 5)
-	if !a.Concurrent(c) {
+	if a.LEQ(c) || c.LEQ(a) {
 		t.Error("a and c should be concurrent")
 	}
 }

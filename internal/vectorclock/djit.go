@@ -15,11 +15,13 @@
 // happens-before is not sound in general; the Cond edge can be disabled via
 // Config.Edges to study that difference.
 //
-// Despite the similar name, this package is the DETECTOR: per-granule shadow
-// cells (a trace.Shadow) and the race check on each access. The vector-clock
-// DATATYPE lives in internal/vclock, and so does the happens-before core that
-// advances the thread clocks over synchronisation events (vclock.HB), shared
-// with the hybrid detector and with the lock-set detector's thread segments.
+// Despite the similar name, this package is the DETECTOR: a trace.Shadow of
+// per-granule cells, the race check on each access and its reports. The
+// vector-clock DATATYPE lives in internal/vclock, and so do the two parts
+// shared with the hybrid detector: the happens-before core that advances the
+// thread clocks over synchronisation events (vclock.HB, which also orders the
+// lock-set detector's thread segments) and the FastTrack-style epoch cell
+// with its same-epoch fast paths (vclock.Cell).
 package vectorclock
 
 import (
@@ -63,31 +65,13 @@ func DefaultConfig() Config {
 	return Config{LockEdges: true, FirstRaceOnly: true}.withDefaults()
 }
 
-// access records one side of a potential conflict.
-type access struct {
-	epoch vclock.Epoch
-	stack trace.StackID
-}
-
-// shadowCell is the per-granule shadow: the last write epoch and, per
-// thread, the last read epoch (compacted: a full VC plus one stack).
-// readsClean means the read clock holds no reads newer than the last write,
-// which lets repeated writes at one epoch skip the read-set scan entirely.
-type shadowCell struct {
-	lastWrite  access
-	reads      vclock.VC
-	lastRead   access
-	reported   bool
-	readsClean bool
-}
-
 // Detector is the vector-clock race detector tool: the shared
-// happens-before core (vclock.HB) plus slab-backed per-block shadow cells.
+// happens-before core (vclock.HB) plus slab-backed per-block vclock.Cells.
 type Detector struct {
 	vclock.HB
 	cfg    Config
 	col    trace.Reporter
-	shadow trace.Shadow[shadowCell]
+	shadow trace.Shadow[vclock.Cell]
 	races  int
 }
 
@@ -131,11 +115,9 @@ func (d *Detector) Free(b *trace.Block, _ trace.ThreadID, _ trace.StackID) {
 	d.shadow.Free(b.ID)
 }
 
-// Access implements trace.Sink: the happens-before check, with FastTrack-
-// style same-epoch fast paths. A read repeated at the thread's current epoch
-// is already in the shadow; a write repeated at its own epoch with a clean
-// read clock cannot change state. Both skip the stores — never the race
-// checks, so the dynamic race count is exactly what the slow path produces.
+// Access implements trace.Sink: each granule's vclock.Cell checks the access
+// and records it. Every unordered access counts as a dynamic race;
+// FirstRaceOnly reports only the first per location.
 func (d *Detector) Access(a *trace.Access) {
 	sh := d.shadow.Block(a.Block)
 	lo, hi := trace.Granules(a.Off, a.Size, d.cfg.Granule, len(sh))
@@ -144,44 +126,25 @@ func (d *Detector) Access(a *trace.Access) {
 	epoch := vclock.Epoch{T: int32(ti), C: me.Get(ti)}
 	for gi := lo; gi < hi; gi++ {
 		c := &sh[gi]
+		var prev trace.StackID
+		var racy bool
 		if a.Kind == trace.Read {
-			if !c.lastWrite.epoch.Zero() && !c.lastWrite.epoch.HappensBefore(me) {
-				d.report(c, a, c.lastWrite.stack)
-			}
-			if c.lastRead.epoch == epoch {
-				// Same-epoch read: the read clock already carries it.
-				c.lastRead.stack = a.Stack
-				continue
-			}
-			c.reads = c.reads.Set(ti, epoch.C)
-			c.readsClean = false
-			c.lastRead = access{epoch: epoch, stack: a.Stack}
-			continue
+			prev, racy = c.Read(epoch, me, a.Stack)
+		} else {
+			prev, racy = c.Write(epoch, me, a.Stack)
 		}
-		if c.readsClean && c.lastWrite.epoch == epoch {
-			// Same-epoch write with no intervening reads: nothing to check,
-			// nothing to store.
-			c.lastWrite.stack = a.Stack
-			continue
+		if racy {
+			d.report(c, a, prev)
 		}
-		// Write: must be ordered after the last write and after all reads.
-		if !c.lastWrite.epoch.Zero() && !c.lastWrite.epoch.HappensBefore(me) {
-			d.report(c, a, c.lastWrite.stack)
-		} else if !c.reads.LEQ(me) {
-			d.report(c, a, c.lastRead.stack)
-		}
-		c.lastWrite = access{epoch: epoch, stack: a.Stack}
-		c.reads.Clear()
-		c.readsClean = true
 	}
 }
 
-func (d *Detector) report(c *shadowCell, a *trace.Access, prevStack trace.StackID) {
+func (d *Detector) report(c *vclock.Cell, a *trace.Access, prevStack trace.StackID) {
 	d.races++
-	if d.cfg.FirstRaceOnly && c.reported {
+	if d.cfg.FirstRaceOnly && c.Reported {
 		return
 	}
-	c.reported = true
+	c.Reported = true
 	d.col.Add(report.Warning{
 		Tool:      d.cfg.Tool,
 		Kind:      report.KindRace,
