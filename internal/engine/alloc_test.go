@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/highlevel"
 	"repro/internal/lockset"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -70,8 +71,9 @@ func TestZeroAllocDispatch(t *testing.T) {
 // merged report, with the fixed costs of a fresh pipeline amortised over one
 // trace. The dense-index/slab/epoch state layout keeps the complete six-tool
 // registry — lock-set, DJIT, hybrid, deadlock, memcheck, high-level — at ≤ 1
-// allocation per event even on a small trace, and the lock-set detector
-// alone over the §4.5 workload at ≤ 0.01.
+// allocation per event even on a small trace, the lock-set detector alone
+// over the §4.5 workload at ≤ 0.01, and the view-consistency checker alone
+// over it at ≤ 0.05.
 func TestZeroAllocDetectorPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments every access; budget enforced by the non-race CI step")
@@ -89,6 +91,11 @@ func TestZeroAllocDetectorPath(t *testing.T) {
 		// The §4.5 workload at full size, one block per table slot.
 		{"lockset-4.5", harness.PerfWorkload{Threads: 4, Iters: 2000, Slots: 64, Blocks: 64, Seed: 1},
 			func() []trace.ToolSpec { return []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLCDR())} }, 0.01},
+		// The view-consistency checker alone over the full §4.5 workload:
+		// its critical sections reuse pooled views, so a design that
+		// allocates per Access or per section would exceed the budget.
+		{"highlevel-4.5", harness.PerfWorkload{Threads: 4, Iters: 2000, Slots: 64, Seed: 1},
+			func() []trace.ToolSpec { return []trace.ToolSpec{highlevel.Spec(highlevel.Config{})} }, 0.05},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			_, log, err := in.w.RecordTrace()

@@ -15,6 +15,7 @@
 package highlevel
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -51,41 +52,6 @@ type varKey struct {
 	gran  uint32
 }
 
-type view struct {
-	vars  map[varKey]struct{}
-	keys  []varKey      // vars sorted; kept only for recorded views
-	stack trace.StackID // acquisition site
-	addr  trace.Addr    // representative address (first access)
-	block trace.BlockID
-}
-
-// viewKey canonicalises a view's variable set into a binary string usable as
-// a dedup map key: the varKeys sorted and appended into the caller-owned
-// scratch buffers, which are returned for reuse. On the common path — the
-// view was seen before — probing seen[string(key)] with the returned bytes
-// is allocation-free (the compiler elides the conversion in a map lookup),
-// so only genuinely new views pay for a key string.
-func viewKey(v *view, scratchKeys []varKey, scratchBuf []byte) ([]varKey, []byte) {
-	keys := scratchKeys[:0]
-	for k := range v.vars {
-		keys = append(keys, k)
-	}
-	// Insertion sort: views hold a handful of variables, and sort.Slice's
-	// closure would allocate on every Release.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && varKeyLess(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	buf := scratchBuf[:0]
-	for _, k := range keys {
-		buf = append(buf,
-			byte(k.block), byte(k.block>>8), byte(k.block>>16), byte(k.block>>24),
-			byte(k.gran), byte(k.gran>>8), byte(k.gran>>16), byte(k.gran>>24))
-	}
-	return keys, buf
-}
-
 func varKeyLess(a, b varKey) bool {
 	if a.block != b.block {
 		return a.block < b.block
@@ -93,25 +59,96 @@ func varKeyLess(a, b varKey) bool {
 	return a.gran < b.gran
 }
 
+func cmpVarKey(a, b varKey) int {
+	if c := cmp.Compare(a.block, b.block); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.gran, b.gran)
+}
+
+// compactSlack is how far an open view may grow past twice its last
+// compacted length before Access compacts it again.
+const compactSlack = 16
+
+// view is one critical section: the granules its accesses touched, in keys.
+// While the section is open, keys is an append log (see add); compact sorts
+// and deduplicates it in place. Access compacts once the log exceeds
+// 2×compacted + compactSlack, so an open view holds at most 2× its distinct
+// granules + compactSlack keys, and a section of n accesses costs
+// O(n log n). Release compacts once more; a recorded view's keys are sorted
+// and distinct, which is what Finish reads.
+type view struct {
+	lock      trace.LockID // the lock the section holds
+	keys      []varKey
+	compacted int           // len(keys) after the last compaction
+	inOrder   bool          // keys are strictly increasing: compaction has nothing to do
+	stack     trace.StackID // acquisition site
+	addr      trace.Addr    // representative address (first access)
+	block     trace.BlockID
+}
+
+// add appends the granules [lo, hi) of block b. It skips a key equal to the
+// last one appended, and, while keys are in order, a smaller key already
+// among them: a section that rereads what it touched — a load then a store
+// of the same word — keeps its keys sorted and never needs compacting.
+func (v *view) add(b trace.BlockID, lo, hi int) {
+	for g := lo; g < hi; g++ {
+		k := varKey{block: b, gran: uint32(g)}
+		if n := len(v.keys); n > 0 {
+			last := v.keys[n-1]
+			if k == last {
+				continue
+			}
+			if varKeyLess(k, last) {
+				if v.inOrder {
+					if _, found := slices.BinarySearchFunc(v.keys, k, cmpVarKey); found {
+						continue
+					}
+				}
+				v.inOrder = false
+			}
+		}
+		v.keys = append(v.keys, k)
+	}
+	if len(v.keys) > 2*v.compacted+compactSlack {
+		v.compact()
+	}
+}
+
+// compact sorts and deduplicates keys in place, unless they are already
+// strictly increasing.
+func (v *view) compact() {
+	if !v.inOrder {
+		slices.SortFunc(v.keys, cmpVarKey)
+		v.keys = slices.Compact(v.keys)
+		v.inOrder = true
+	}
+	v.compacted = len(v.keys)
+}
+
 // Detector is the view-consistency tool. Call Finish after the run to
 // perform the analysis (core.Run does this automatically).
+//
+// A thread's open critical sections are one small slice of views, searched
+// by lock on Acquire and Release; Access appends to each of them. Release
+// dedups a view per (lock, thread) by its compacted keys, encoded into a
+// reused buffer, so a repeated view costs a map probe and no allocation.
 type Detector struct {
 	trace.BaseSink
 	cfg      Config
 	col      trace.Reporter
 	cells    map[trace.BlockID]int // live blocks' granule counts
-	open     map[trace.ThreadID]map[trace.LockID]*view
+	open     map[trace.ThreadID][]*view
 	views    map[trace.LockID]map[trace.ThreadID][]*view
 	viewKeys map[trace.LockID]map[trace.ThreadID]map[string]bool
 	finished bool
 	reports  int
 
-	// Free list plus per-Release scratch. Critical sections open and close
-	// once per Acquire/Release pair, but distinct views per (lock, thread)
-	// are bounded by program structure — so recycling the duplicates keeps
-	// the steady-state event path allocation-free.
+	// Free list plus the Release dedup buffer. Critical sections open and
+	// close once per Acquire/Release pair, but distinct views per (lock,
+	// thread) are bounded by program structure — so recycling the
+	// duplicates keeps the steady-state event path allocation-free.
 	pool       []*view
-	scratchKey []varKey
 	scratchBuf []byte
 
 	// Finish's reused buffers: the maximal views of one thread, and per
@@ -142,7 +179,7 @@ func New(cfg Config, col trace.Reporter) *Detector {
 		cfg:      cfg.withDefaults(),
 		col:      col,
 		cells:    make(map[trace.BlockID]int),
-		open:     make(map[trace.ThreadID]map[trace.LockID]*view),
+		open:     make(map[trace.ThreadID][]*view),
 		views:    make(map[trace.LockID]map[trace.ThreadID][]*view),
 		viewKeys: make(map[trace.LockID]map[trace.ThreadID]map[string]bool),
 	}
@@ -155,33 +192,49 @@ func (d *Detector) ToolName() string { return d.cfg.Tool }
 func (d *Detector) Violations() int { return d.reports }
 
 // Acquire implements trace.Sink: opens a fresh view for the critical
-// section.
+// section. Re-acquiring a lock the thread already holds replaces that
+// lock's view.
 func (d *Detector) Acquire(t trace.ThreadID, l trace.LockID, _ trace.LockKind, stack trace.StackID) {
-	m, ok := d.open[t]
-	if !ok {
-		m = make(map[trace.LockID]*view)
-		d.open[t] = m
-	}
+	var v *view
 	if n := len(d.pool); n > 0 {
-		v := d.pool[n-1]
+		v = d.pool[n-1]
 		d.pool = d.pool[:n-1]
-		clear(v.vars)
-		*v = view{vars: v.vars, keys: v.keys[:0], stack: stack}
-		m[l] = v
+		*v = view{keys: v.keys[:0]}
+	} else {
+		v = new(view)
+	}
+	v.lock, v.stack, v.inOrder = l, stack, true
+	vs := d.open[t]
+	if i := openIndex(vs, l); i >= 0 {
+		d.pool = append(d.pool, vs[i])
+		vs[i] = v
 		return
 	}
-	m[l] = &view{vars: make(map[varKey]struct{}), stack: stack}
+	d.open[t] = append(vs, v)
 }
 
-// Release implements trace.Sink: finalises the critical section's view.
+// openIndex returns the index of lock l's view among a thread's open views,
+// or -1.
+func openIndex(vs []*view, l trace.LockID) int {
+	for i, v := range vs {
+		if v.lock == l {
+			return i
+		}
+	}
+	return -1
+}
+
+// Release implements trace.Sink: finalises the critical section's view. A
+// release of a lock with no open section is ignored.
 func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _ trace.StackID) {
-	m := d.open[t]
-	v, ok := m[l]
-	if !ok {
+	vs := d.open[t]
+	i := openIndex(vs, l)
+	if i < 0 {
 		return
 	}
-	delete(m, l)
-	if len(v.vars) == 0 {
+	v := vs[i]
+	d.open[t] = slices.Delete(vs, i, i+1)
+	if len(v.keys) == 0 {
 		d.pool = append(d.pool, v)
 		return
 	}
@@ -196,14 +249,19 @@ func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _
 		seen = make(map[string]bool)
 		d.viewKeys[l][t] = seen
 	}
-	keys, buf := viewKey(v, d.scratchKey, d.scratchBuf)
-	d.scratchKey, d.scratchBuf = keys, buf
+	v.compact()
+	buf := d.scratchBuf[:0]
+	for _, k := range v.keys {
+		buf = append(buf,
+			byte(k.block), byte(k.block>>8), byte(k.block>>16), byte(k.block>>24),
+			byte(k.gran), byte(k.gran>>8), byte(k.gran>>16), byte(k.gran>>24))
+	}
+	d.scratchBuf = buf
 	if seen[string(buf)] {
 		d.pool = append(d.pool, v)
 		return // identical view already recorded
 	}
 	seen[string(buf)] = true
-	v.keys = append(v.keys[:0], keys...)
 	byThread[t] = append(byThread[t], v)
 }
 
@@ -221,22 +279,20 @@ func (d *Detector) Free(b *trace.Block, _ trace.ThreadID, _ trace.StackID) {
 // Access implements trace.Sink: adds the granules the access touches inside
 // its block to every critical section the thread currently has open.
 func (d *Detector) Access(a *trace.Access) {
-	m := d.open[a.Thread]
-	if len(m) == 0 {
+	vs := d.open[a.Thread]
+	if len(vs) == 0 {
 		return
 	}
 	lo, hi := trace.Granules(a.Off, a.Size, d.cfg.Granule, d.cells[a.Block])
 	if lo >= hi {
 		return
 	}
-	for _, v := range m {
-		if len(v.vars) == 0 {
+	for _, v := range vs {
+		if len(v.keys) == 0 {
 			v.addr = a.Addr
 			v.block = a.Block
 		}
-		for g := lo; g < hi; g++ {
-			v.vars[varKey{block: a.Block, gran: uint32(g)}] = struct{}{}
-		}
+		v.add(a.Block, lo, hi)
 	}
 }
 

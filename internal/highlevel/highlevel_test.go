@@ -1,7 +1,10 @@
 package highlevel
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -202,8 +205,66 @@ func TestAccessStaysInBlock(t *testing.T) {
 		d.Alloc(&trace.Block{ID: 1, Size: 8})
 		d.Acquire(1, 1, trace.Mutex, 0)
 		d.Access(&trace.Access{Thread: 1, Block: 1, Off: tc.off, Size: tc.size, Kind: trace.Write})
-		if got := len(d.open[1][1].vars); got != tc.want {
+		if got := openVars(d, 1, 1); got != tc.want {
 			t.Fatalf("%s: the view holds %d variables, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// openVars returns the number of distinct variables in thread t's open view
+// of lock l.
+func openVars(d *Detector, t trace.ThreadID, l trace.LockID) int {
+	vs := d.open[t]
+	keys := slices.Clone(vs[openIndex(vs, l)].keys)
+	slices.SortFunc(keys, cmpVarKey)
+	return len(slices.Compact(keys))
+}
+
+// TestLargeCriticalSection bounds what one hostile critical section costs:
+// 100,000 distinct granules in shuffled order, then the release. The view
+// is compacted in O(n log n); an insertion sort of its keys at Release
+// takes seconds.
+func TestLargeCriticalSection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation makes the time bound meaningless")
+	}
+	const n = 100_000
+	d := New(Config{}, &recorder{})
+	d.Alloc(&trace.Block{ID: 1, Size: 4 * n})
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	start := time.Now()
+	d.Acquire(1, 1, trace.Mutex, 1)
+	for _, g := range order {
+		d.Access(&trace.Access{Thread: 1, Block: 1, Off: uint32(4 * g), Size: 4, Kind: trace.Write})
+	}
+	d.Release(1, 1, trace.Mutex, 1)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("one %d-granule critical section took %v, want under 1s", n, elapsed)
+	}
+	if got := len(d.views[1][1]); got != 1 {
+		t.Fatalf("recorded %d views, want 1", got)
+	}
+	if got := len(d.views[1][1][0].keys); got != n {
+		t.Errorf("the view holds %d variables, want %d", got, n)
+	}
+}
+
+// TestOpenViewMemoryBounded holds an open view's key log to at most twice
+// its distinct granules plus compactSlack, after every access: 100,000
+// accesses alternating between two granules never grow it past that. The
+// higher granule comes first, so the log falls out of order at once and
+// only compaction keeps it short.
+func TestOpenViewMemoryBounded(t *testing.T) {
+	d := New(Config{}, &recorder{})
+	d.Alloc(&trace.Block{ID: 1, Size: 8})
+	d.Acquire(1, 1, trace.Mutex, 1)
+	v := d.open[1][0]
+	for i := 0; i < 100_000; i++ {
+		d.Access(&trace.Access{Thread: 1, Block: 1, Off: uint32(4 * (1 - i%2)), Size: 4, Kind: trace.Write})
+		distinct := min(i+1, 2)
+		if got := len(v.keys); got > 2*distinct+compactSlack {
+			t.Fatalf("after access %d: %d keys logged for %d distinct granules, want at most %d",
+				i, got, distinct, 2*distinct+compactSlack)
 		}
 	}
 }

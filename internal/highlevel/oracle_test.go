@@ -39,7 +39,7 @@ func refFinish(d *Detector, col trace.Reporter) {
 					continue
 				}
 				for _, m := range maximal {
-					if len(m.vars) < d.cfg.MinViewSize {
+					if len(varSet(m)) < d.cfg.MinViewSize {
 						continue
 					}
 					if bad := refViolates(m, byThread[t2]); bad != nil {
@@ -58,7 +58,7 @@ func refMaximalViews(vs []*view) []*view {
 	for i, v := range vs {
 		maximal := true
 		for j, w := range vs {
-			if i != j && refSubset(v.vars, w.vars) && len(v.vars) < len(w.vars) {
+			if i != j && refSubset(varSet(v), varSet(w)) && len(varSet(v)) < len(varSet(w)) {
 				maximal = false
 				break
 			}
@@ -79,7 +79,7 @@ func refViolates(m *view, others []*view) *view {
 	}
 	var inters []inter
 	for _, o := range others {
-		x := refIntersect(m.vars, o.vars)
+		x := refIntersect(varSet(m), varSet(o))
 		if len(x) > 0 {
 			inters = append(inters, inter{set: x, src: o})
 		}
@@ -123,8 +123,18 @@ func refReport(cfg Config, col trace.Reporter, l trace.LockID, m, bad *view) {
 		Stack:     m.stack,
 		PrevStack: bad.stack,
 		State: fmt.Sprintf("lock L%d: a view of %d variable(s) is split inconsistently by another thread",
-			l, len(m.vars)),
+			l, len(varSet(m))),
 	})
+}
+
+// varSet is a recorded view's variables as the set the map-based analysis
+// read.
+func varSet(v *view) map[varKey]struct{} {
+	set := make(map[varKey]struct{}, len(v.keys))
+	for _, k := range v.keys {
+		set[k] = struct{}{}
+	}
+	return set
 }
 
 // recorder is a trace.Reporter that keeps every warning in order.
@@ -315,10 +325,10 @@ func refCases(t *testing.T, d *Detector, c *viewCases) {
 					continue
 				}
 				for _, m := range refMaximalViews(vs) {
-					if len(m.vars) < d.cfg.MinViewSize {
+					if len(m.keys) < d.cfg.MinViewSize {
 						continue
 					}
-					if len(m.vars) == d.cfg.MinViewSize {
+					if len(m.keys) == d.cfg.MinViewSize {
 						c.atMinViewSize = true
 					}
 					refCasesOf(m, others, c)
@@ -336,7 +346,7 @@ func refCases(t *testing.T, d *Detector, c *viewCases) {
 func refCasesOf(m *view, others []*view, c *viewCases) {
 	var inters []map[varKey]struct{}
 	for _, o := range others {
-		if x := refIntersect(m.vars, o.vars); len(x) > 0 {
+		if x := refIntersect(varSet(m), varSet(o)); len(x) > 0 {
 			inters = append(inters, x)
 		} else {
 			c.emptyIntersection = true
