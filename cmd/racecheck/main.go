@@ -11,6 +11,7 @@
 //	racecheck -workload threadpool -config hwlc+dr -edges full
 //	racecheck -workload birthday -tools lockset,highlevel
 //	racecheck -workload counter -tools all
+//	racecheck -workload counter -seed 7    # a different schedule
 package main
 
 import (
@@ -197,15 +198,16 @@ var workloads = map[string]struct {
 	},
 }
 
+var (
+	workload = flag.String("workload", "counter", "workload to run (see -list)")
+	list     = flag.Bool("list", false, "list workloads")
+	config   = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
+	edges    = flag.String("edges", "helgrind", "segment edges: helgrind | full")
+	seed     = flag.Int64("seed", 1, "scheduler seed")
+	tools    = flag.String("tools", "lockset,deadlock,memcheck", "comma-separated tool set run in one pass: "+strings.Join(core.ToolNames, ", ")+"; 'all' for every tool")
+)
+
 func main() {
-	var (
-		workload = flag.String("workload", "counter", "workload to run (see -list)")
-		list     = flag.Bool("list", false, "list workloads")
-		config   = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
-		edges    = flag.String("edges", "helgrind", "segment edges: helgrind | full")
-		seed     = flag.Int64("seed", 1, "scheduler seed")
-		tools    = flag.String("tools", "lockset,deadlock,memcheck", "comma-separated tool set run in one pass: "+strings.Join(core.ToolNames, ", ")+"; 'all' for every tool")
-	)
 	flag.Parse()
 
 	if *list {

@@ -5,6 +5,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/flagdoc"
 )
 
 // TestMain lets the tests run this command: the test binary re-executed with
@@ -49,3 +51,7 @@ func TestDefaultToolsReport(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagsDocumented checks that every flag racecheck declares is named, as
+// -name, both in the package doc comment and in README.
+func TestFlagsDocumented(t *testing.T) { flagdoc.Check(t) }

@@ -36,16 +36,17 @@ import (
 	"repro/internal/scenario"
 )
 
+var (
+	seed   = flag.Int64("seed", 1, "generator seed (first seed with -count)")
+	count  = flag.Int("count", 1, "number of consecutive seeds to process")
+	sched  = flag.Int64("sched", 1, "scheduler seed")
+	out    = flag.String("out", "", "write trace corpus + manifest.json into this directory")
+	verify = flag.String("verify", "", "verify a corpus directory against its manifest.json")
+	report = flag.Bool("report", false, "run the scenario under all six tools and print the reports")
+	list   = flag.Bool("list", false, "describe the generated scenario(s) (the default mode)")
+)
+
 func main() {
-	var (
-		seed   = flag.Int64("seed", 1, "generator seed (first seed with -count)")
-		count  = flag.Int("count", 1, "number of consecutive seeds to process")
-		sched  = flag.Int64("sched", 1, "scheduler seed")
-		out    = flag.String("out", "", "write trace corpus + manifest.json into this directory")
-		verify = flag.String("verify", "", "verify a corpus directory against its manifest.json")
-		report = flag.Bool("report", false, "run the scenario under all six tools and print the reports")
-		list   = flag.Bool("list", false, "describe the generated scenario(s) (the default mode)")
-	)
 	flag.Parse()
 
 	run := func(err error) {

@@ -27,16 +27,17 @@ import (
 	"repro/internal/sipp"
 )
 
+var (
+	decompose = flag.Bool("decompose", false, "print the Fig. 5 family decomposition instead of the Fig. 6 table")
+	offline   = flag.Bool("offline", false, "record each test case once and replay the log into all three configurations in one pass (§2.2)")
+	caseID    = flag.String("case", "", "run a single test case (T1..T8) and print per-family counts")
+	pool      = flag.Bool("pool", false, "use the thread-pool pattern (Fig. 11) instead of thread-per-request")
+	seed      = flag.Int64("seed", 1, "scheduler seed")
+	quantum   = flag.Int("quantum", 3, "scheduling quantum")
+	supFile   = flag.String("suppressions", "", "apply a Valgrind-style suppression file (§2.3.1); use 'builtin' for the stock libstdc++/destructor rules")
+)
+
 func main() {
-	var (
-		decompose = flag.Bool("decompose", false, "print the Fig. 5 family decomposition instead of the Fig. 6 table")
-		offline   = flag.Bool("offline", false, "record each test case once and replay the log into all three configurations in one pass (§2.2)")
-		caseID    = flag.String("case", "", "run a single test case (T1..T8) and print per-family counts")
-		pool      = flag.Bool("pool", false, "use the thread-pool pattern (Fig. 11) instead of thread-per-request")
-		seed      = flag.Int64("seed", 1, "scheduler seed")
-		quantum   = flag.Int("quantum", 3, "scheduling quantum")
-		supFile   = flag.String("suppressions", "", "apply a Valgrind-style suppression file (§2.3.1); use 'builtin' for the stock libstdc++/destructor rules")
-	)
 	flag.Parse()
 
 	opt := harness.DefaultRunOptions()

@@ -54,7 +54,7 @@
 // # Multi-process tier
 //
 // The daemon also runs as either half of the router → N backends tier
-// (internal/ingest router layer). A backend is a normal daemon started with
+// (internal/fleet). A backend is a normal daemon started with
 // -backend: it additionally accepts assign-opened sessions from a router
 // (answering with a structured backend-report) and backend-stats census
 // probes. A router is started with -router -backends spec,spec,...: it
@@ -84,6 +84,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 )
@@ -173,7 +174,7 @@ func runRouter(reg *obs.Registry) {
 			backends = append(backends, spec)
 		}
 	}
-	rt, err := ingest.NewRouter(ingest.RouterConfig{
+	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		Backends:    backends,
 		IdleTimeout: *idleTimeout,
 		Metrics:     reg,

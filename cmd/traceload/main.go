@@ -39,6 +39,7 @@
 //	traceload -addr unix:/tmp/traced.sock -sessions 64 -flood -flood-retries 2
 //	traceload -addr tcp:127.0.0.1:7433 -query stats
 //	traceload -inproc -generate 4 -sessions 8 -chunk 4096   # events frame chunk in bytes (default 64 KiB, closed loop)
+//	traceload -inproc -generate 4 -sched 2 -tools lockset,memcheck -verify   # scheduler seed; the registry, as the server runs it
 //
 // -query runs one standalone query exchange against a live daemon ("stats"
 // fetches the server's metrics snapshot, "aggregate"/"sessions"/"session
@@ -75,6 +76,24 @@ import (
 	"repro/internal/tracelog"
 )
 
+var (
+	addr      = flag.String("addr", "tcp:127.0.0.1:7433", "server address (network:address)")
+	inproc    = flag.Bool("inproc", false, "start a private in-process server instead of dialing -addr")
+	sessions  = flag.Int("sessions", 8, "concurrent sessions to run (the corpus is cycled)")
+	corpus    = flag.String("corpus", "", "directory of recorded *.trace files to replay")
+	generate  = flag.Int("generate", 4, "without -corpus: number of scenario seeds to generate (buggy variants)")
+	schedSeed = flag.Int64("sched", 1, "scheduler seed for generated scenarios")
+	chunk     = flag.Int("chunk", 64<<10, "events frame chunk size in bytes (closed loop)")
+	rate      = flag.Float64("rate", 0, "open-loop target events/sec across all sessions (0 = closed loop)")
+	toolList  = flag.String("tools", "all", "tool registry for -verify and -inproc (must match the server's)")
+	verify    = flag.Bool("verify", false, "compare every returned report (and every server-side incremental snapshot) against an offline replay of the same trace")
+	aggregate = flag.Bool("aggregate", false, "finish by querying and printing the server's aggregate report")
+	interval  = flag.Duration("report-interval", 0, "incremental-report interval for -inproc (0 disables)")
+	query     = flag.String("query", "", "run one query against -addr, print the response, and exit (e.g. stats, aggregate, sessions)")
+	flood     = flag.Bool("flood", false, "overload mode: a session the server rejects with a typed busy error counts as shed load, not failure (disables -verify comparison; degraded reports differ from offline replays by design)")
+	retries   = flag.Int("flood-retries", 0, "redial attempts after a busy rejection, honouring the server's retry-after hint (at most a second)")
+)
+
 type traceEntry struct {
 	name string
 	log  []byte
@@ -87,23 +106,6 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	var (
-		addr      = flag.String("addr", "tcp:127.0.0.1:7433", "server address (network:address)")
-		inproc    = flag.Bool("inproc", false, "start a private in-process server instead of dialing -addr")
-		sessions  = flag.Int("sessions", 8, "concurrent sessions to run (the corpus is cycled)")
-		corpus    = flag.String("corpus", "", "directory of recorded *.trace files to replay")
-		generate  = flag.Int("generate", 4, "without -corpus: number of scenario seeds to generate (buggy variants)")
-		schedSeed = flag.Int64("sched", 1, "scheduler seed for generated scenarios")
-		chunk     = flag.Int("chunk", 64<<10, "events frame chunk size in bytes (closed loop)")
-		rate      = flag.Float64("rate", 0, "open-loop target events/sec across all sessions (0 = closed loop)")
-		toolList  = flag.String("tools", "all", "tool registry for -verify and -inproc (must match the server's)")
-		verify    = flag.Bool("verify", false, "compare every returned report (and every server-side incremental snapshot) against an offline replay of the same trace")
-		aggregate = flag.Bool("aggregate", false, "finish by querying and printing the server's aggregate report")
-		interval  = flag.Duration("report-interval", 0, "incremental-report interval for -inproc (0 disables)")
-		query     = flag.String("query", "", "run one query against -addr, print the response, and exit (e.g. stats, aggregate, sessions)")
-		flood     = flag.Bool("flood", false, "overload mode: a session the server rejects with a typed busy error counts as shed load, not failure (disables -verify comparison; degraded reports differ from offline replays by design)")
-		retries   = flag.Int("flood-retries", 0, "redial attempts after a busy rejection, honouring the server's retry-after hint (at most a second)")
-	)
 	flag.Parse()
 
 	if *query != "" {

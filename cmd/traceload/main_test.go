@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flagdoc"
 	"repro/internal/tracelog"
 )
 
@@ -30,3 +31,7 @@ func TestRedialDelay(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagsDocumented checks that every flag traceload declares is named, as
+// -name, both in the package doc comment and in README.
+func TestFlagsDocumented(t *testing.T) { flagdoc.Check(t) }

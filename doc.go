@@ -112,12 +112,14 @@
 // # The live trace-ingest server (internal/ingest)
 //
 // The paper's tools watched a long-running SIP server under production
-// traffic; internal/ingest is that deployment shape. cmd/traced is a
-// long-running daemon accepting many concurrent connections (unix socket or
-// TCP), each carrying one length-framed trace stream; every connection
-// becomes an independent session analysed by its own engine pipeline
-// (engine.Sequential), so a session's report is byte-identical to an
-// offline replay of the same trace.
+// traffic; internal/ingest is that deployment shape. It holds the daemon
+// alone: the router tier is internal/fleet, and the accept loop and the
+// session rollup the two share live in the leaf package internal/serve.
+// cmd/traced is a long-running daemon accepting many concurrent connections
+// (unix socket or TCP), each carrying one length-framed trace stream; every
+// connection becomes an independent session analysed by its own engine
+// pipeline (engine.Sequential), so a session's report is byte-identical to
+// an offline replay of the same trace.
 //
 //   - Framing (internal/tracelog frame layer): a framed stream is a 4-byte
 //     magic plus [kind][uvarint length][payload] frames; the offline log
@@ -192,7 +194,7 @@
 //
 //	clients → traced -router → traced -backend (×N)
 //
-// ingest.Router (traced -router -backends <spec,...>) accepts ordinary
+// fleet.Router (traced -router -backends <spec,...>) accepts ordinary
 // client sessions and relays each one verbatim — frame by frame, no
 // re-encode — to a backend analyzer chosen by rendezvous hashing over the
 // session name, so one backend's death re-shards only its own names. The

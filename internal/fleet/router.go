@@ -1,10 +1,9 @@
-package ingest
-
-// The router tier: a front process that accepts ordinary client sessions and
-// shards them across N backend analyzer processes (Server instances running
-// with Config.BackendMode), turning the single-process daemon into the
-// paper's fleet shape — one crash no longer loses every live session, and
-// analysis throughput scales with backend count.
+// Package fleet is the router tier: a front process that accepts ordinary
+// client sessions and shards them across N backend analyzer processes
+// (ingest.Server instances running with ingest.Config.BackendMode), turning
+// the single-process daemon into the paper's fleet shape — one crash no
+// longer loses every live session, and analysis throughput scales with
+// backend count.
 //
 // The router never analyses anything itself. Per session it picks a backend
 // by rendezvous hashing over the live backend set (deterministic for a given
@@ -15,10 +14,11 @@ package ingest
 // survive the hop). The backend answers with a structured
 // tracelog.BackendResult: the rendered report the router relays to the
 // client unchanged, plus the portable collector and summaries the router
-// folds progressively into the fleet aggregate. Because Merge is commutative and associative over the
-// content-derived SiteKeys (report/merge.go), the fold is byte-identical
-// regardless of which backend analysed which session or in what order they
-// finished — the property the cross-process conformance test pins.
+// folds progressively into the fleet aggregate. Because Merge is commutative
+// and associative over the content-derived SiteKeys (report/merge.go), the
+// fold is byte-identical regardless of which backend analysed which session
+// or in what order they finished — the property the cross-process
+// conformance test pins.
 //
 // Failure honesty: a backend that cannot be dialed or written to is marked
 // dead permanently — its in-flight sessions are the only ones lost (counted
@@ -26,6 +26,7 @@ package ingest
 // survivors. A backend's *refusal* (admission busy, analysis error) is an
 // answer, not a death: the typed error is relayed to the client and the
 // backend stays in rotation.
+package fleet
 
 import (
 	"context"
@@ -39,25 +40,28 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
 
+// retainResults bounds the recent per-session outcome records the
+// "sessions" query renders; the fleet tally is unaffected.
+const retainResults = 256
+
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	// Backends lists the backend analyzer specs ("network:address", see
-	// Listen) the router shards sessions across. Required, fixed for the
-	// router's lifetime; a backend that fails is marked dead and its spec is
-	// never retried.
+	// ingest.Listen) the router shards sessions across. Required, fixed for
+	// the router's lifetime; a backend that fails is marked dead and its spec
+	// is never retried.
 	Backends []string
 	// IdleTimeout > 0 fails a forwarded session whose client delivers no
 	// bytes for the duration (rolling, like the Server's).
 	IdleTimeout time.Duration
-	// RetainResults bounds the recent per-session outcome records the
-	// "sessions" query renders (default 256; the fleet tally is unaffected).
-	RetainResults int
 	// Metrics, when non-nil, receives the router_* series and enables the
 	// "stats" query.
 	Metrics *obs.Registry
@@ -69,7 +73,7 @@ type Router struct {
 	met *routerMetrics
 
 	backends []*routerBackend
-	loop     *connLoop
+	loop     *serve.Loop
 
 	mu     sync.Mutex
 	nextID uint64         // sessions routed so far
@@ -78,7 +82,7 @@ type Router struct {
 	// progressively as they complete: a reported session adds its backend
 	// result, any other outcome counts as failed. lost and rejected count
 	// the failures that have their own disclosure line.
-	tally    rollup
+	tally    serve.Rollup
 	lost     int // failed because their backend died
 	rejected int // refused busy by backend admission
 }
@@ -132,18 +136,15 @@ func newRouterMetrics(reg *obs.Registry, backends int) *routerMetrics {
 // NewRouter creates a router over the given backend set.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
-		return nil, errors.New("ingest: RouterConfig.Backends is required")
-	}
-	if cfg.RetainResults <= 0 {
-		cfg.RetainResults = 256
+		return nil, errors.New("fleet: RouterConfig.Backends is required")
 	}
 	r := &Router{
 		cfg: cfg,
 		met: newRouterMetrics(cfg.Metrics, len(cfg.Backends)),
 	}
-	r.loop = newConnLoop(cfg.IdleTimeout, nil, r.serveConn)
+	r.loop = serve.NewLoop(cfg.IdleTimeout, nil, r.serveConn)
 	for _, spec := range cfg.Backends {
-		if _, _, err := splitSpec(spec); err != nil {
+		if _, _, err := serve.SplitSpec(spec); err != nil {
 			return nil, err
 		}
 		r.backends = append(r.backends, &routerBackend{spec: spec})
@@ -152,18 +153,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 }
 
 // Draining reports whether Shutdown has begun.
-func (r *Router) Draining() bool { return r.loop.draining.Load() }
+func (r *Router) Draining() bool { return r.loop.Draining() }
 
 // Serve accepts connections on ln until Shutdown (or a listener error) and
 // blocks while doing so.
-func (r *Router) Serve(ln net.Listener) error { return r.loop.serve(ln) }
+func (r *Router) Serve(ln net.Listener) error { return r.loop.Serve(ln) }
 
 // Shutdown stops accepting and waits for in-flight forwarded sessions to
 // finish until ctx expires, then force-closes the remaining connections
 // (their sessions fail on both sides as truncated streams).
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.loop.stop()
-	return r.loop.drain(ctx)
+	r.loop.Stop()
+	return r.loop.Drain(ctx)
 }
 
 // serveConn runs one handshaken client connection: a query exchange or a
@@ -252,7 +253,7 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 			fw.Error("router: no live backend analyzers")
 			return
 		}
-		c, err := DialSpec(b.spec)
+		c, err := ingest.DialSpec(b.spec)
 		if err != nil {
 			r.markDead(b, err)
 			continue
@@ -373,11 +374,11 @@ func (r *Router) finish(id uint64, name, spec, outcome string, res *tracelog.Bac
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if res != nil {
-		r.tally.add(StateReported, res)
-		r.tally.merge()
+		r.tally.Add(serve.Reported, res)
+		r.tally.Merge()
 	} else {
 		res = &tracelog.BackendResult{}
-		r.tally.add(StateFailed, res)
+		r.tally.Add(serve.Failed, res)
 	}
 	switch outcome {
 	case "lost":
@@ -388,8 +389,8 @@ func (r *Router) finish(id uint64, name, spec, outcome string, res *tracelog.Bac
 	r.recs = append(r.recs, routedRecord{
 		id: id, name: name, backend: spec, outcome: outcome, events: res.Events,
 	})
-	if len(r.recs) > r.cfg.RetainResults {
-		r.recs = append(r.recs[:0], r.recs[len(r.recs)-r.cfg.RetainResults:]...)
+	if len(r.recs) > retainResults {
+		r.recs = append(r.recs[:0], r.recs[len(r.recs)-retainResults:]...)
 	}
 }
 
@@ -428,20 +429,20 @@ func (r *Router) FleetAggregate() *FleetAggregate {
 	r.mu.Lock()
 	t, routed, lost, rejected := r.tally, int(r.nextID), r.lost, r.rejected
 	r.mu.Unlock()
-	t.merge()
+	t.Merge()
 	agg := &FleetAggregate{
 		Sessions:   routed,
-		Reported:   t.reported,
-		Failed:     t.failed - lost - rejected,
+		Reported:   t.Reported,
+		Failed:     t.Failed - lost - rejected,
 		Lost:       lost,
 		Rejected:   rejected,
-		Active:     routed - t.sessions,
-		Events:     t.events,
-		SampledOut: t.sampledOut,
-		Degraded:   t.degraded,
-		ByTool:     t.col.LocationsByTool(),
-		Summaries:  t.sums,
-		Merged:     t.col,
+		Active:     routed - t.Sessions,
+		Events:     t.Events,
+		SampledOut: t.SampledOut,
+		Degraded:   t.Degraded,
+		ByTool:     t.Col.LocationsByTool(),
+		Summaries:  t.Sums,
+		Merged:     t.Col,
 	}
 	for _, b := range r.backends {
 		st := BackendStatus{
@@ -486,7 +487,7 @@ func (a *FleetAggregate) Format() string {
 		}
 		b.WriteByte('\n')
 	}
-	return formatRollup(&b, a.ByTool, a.Summaries, a.Merged)
+	return serve.FormatRollup(&b, a.ByTool, a.Summaries, a.Merged)
 }
 
 // serveQuery answers a router query connection. Per-session state (snapshots,
@@ -495,17 +496,17 @@ func (a *FleetAggregate) Format() string {
 func (r *Router) serveQuery(fw *tracelog.FrameWriter, q string) {
 	switch {
 	case q == "aggregate":
-		reply(fw, "aggregate", r.FleetAggregate().Format())
+		serve.Reply(fw, "aggregate", r.FleetAggregate().Format())
 	case q == "backends":
-		reply(fw, "backends", r.formatBackends())
+		serve.Reply(fw, "backends", r.formatBackends())
 	case q == "sessions":
-		reply(fw, "sessions", r.formatSessions())
+		serve.Reply(fw, "sessions", r.formatSessions())
 	case q == "stats":
 		if r.cfg.Metrics == nil {
 			fw.Error("stats: no metrics registry attached (RouterConfig.Metrics)")
 			return
 		}
-		reply(fw, "stats", r.cfg.Metrics.Snapshot())
+		serve.Reply(fw, "stats", r.cfg.Metrics.Snapshot())
 	case strings.HasPrefix(q, "session "), strings.HasPrefix(q, "snapshots "):
 		fw.Error(fmt.Sprintf("%q: per-session state lives on the backend analyzers; query them directly", q))
 	default:
@@ -513,12 +514,13 @@ func (r *Router) serveQuery(fw *tracelog.FrameWriter, q string) {
 	}
 }
 
-// formatSessions renders the bounded recent-outcome listing.
+// formatSessions renders the recent-outcome listing, the last retainResults
+// sessions.
 func (r *Router) formatSessions() string {
 	r.mu.Lock()
 	recs := append([]routedRecord(nil), r.recs...)
 	total := int(r.nextID)
-	active := total - r.tally.sessions
+	active := total - r.tally.Sessions
 	r.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "== routed sessions: %d total, %d active, last %d outcome(s)\n", total, active, len(recs))
@@ -561,7 +563,7 @@ func (r *Router) formatBackends() string {
 
 // probeBackend runs one backend-stats exchange with a short deadline.
 func probeBackend(spec string) (*tracelog.BackendCensus, error) {
-	conn, err := DialSpec(spec)
+	conn, err := ingest.DialSpec(spec)
 	if err != nil {
 		return nil, err
 	}

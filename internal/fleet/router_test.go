@@ -1,4 +1,4 @@
-package ingest_test
+package fleet_test
 
 import (
 	"context"
@@ -11,10 +11,84 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/scenario"
 	"repro/internal/tracelog"
 )
+
+// slotRetryAfter is the retry-after hint an ingest server attaches to a
+// slot-timeout rejection.
+const slotRetryAfter = time.Second
+
+// startServer runs a server on a loopback TCP listener and returns it with
+// its dialable "network:address" spec. The server is shut down at test end.
+func startServer(t testing.TB, cfg ingest.Config) (*ingest.Server, string) {
+	t.Helper()
+	if cfg.Tools == nil {
+		cfg.Tools = scenario.AllTools
+	}
+	srv, err := ingest.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return srv, "tcp:" + ln.Addr().String()
+}
+
+// recordScenario records one scenario variant and returns its trace.
+func recordScenario(t testing.TB, genSeed int64, buggy bool) []byte {
+	t.Helper()
+	s := scenario.Generate(scenario.GenConfig{Seed: genSeed})
+	_, log, err := scenario.Record(s, buggy, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// corpusEntry is one scenario trace with its offline reference report.
+type corpusEntry struct {
+	name string
+	log  []byte
+	want string
+}
+
+// buildCorpus records both variants of a run of generated scenarios and
+// computes each trace's offline six-tool reference report (nil resolver, as
+// the server resolves nothing).
+func buildCorpus(t testing.TB, seeds int) []corpusEntry {
+	t.Helper()
+	var out []corpusEntry
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		for _, buggy := range []bool{true, false} {
+			log := recordScenario(t, seed, buggy)
+			col, err := scenario.RunOffline(nil, log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, corpusEntry{
+				name: fmt.Sprintf("s%d-buggy-%v", seed, buggy),
+				log:  log,
+				want: col.Format(),
+			})
+		}
+	}
+	return out
+}
 
 // startBackend runs a backend-mode analyzer server and returns it with its
 // dialable spec.
@@ -26,9 +100,9 @@ func startBackend(t testing.TB, cfg ingest.Config) (*ingest.Server, string) {
 
 // startRouter runs a router over the given backend specs on a loopback
 // listener. The router is shut down at test end.
-func startRouter(t testing.TB, backends []string) (*ingest.Router, string) {
+func startRouter(t testing.TB, backends []string) (*fleet.Router, string) {
 	t.Helper()
-	rt, err := ingest.NewRouter(ingest.RouterConfig{Backends: backends})
+	rt, err := fleet.NewRouter(fleet.RouterConfig{Backends: backends})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +422,8 @@ func TestRouterBusyRelay(t *testing.T) {
 	if !errors.Is(err, tracelog.ErrBusy) {
 		t.Fatalf("relayed rejection is not a typed busy error: %v", err)
 	}
-	if hint, ok := tracelog.RetryAfterHint(err); !ok || hint != ingest.SlotRetryAfter {
-		t.Errorf("retry-after hint = %v (ok=%v), want %v", hint, ok, ingest.SlotRetryAfter)
+	if hint, ok := tracelog.RetryAfterHint(err); !ok || hint != slotRetryAfter {
+		t.Errorf("retry-after hint = %v (ok=%v), want %v", hint, ok, slotRetryAfter)
 	}
 
 	// Release the holder; its session must still complete cleanly.
@@ -551,112 +625,5 @@ func TestRouterQueries(t *testing.T) {
 	if _, err := tracelog.NewFrameReader(conn).BackendResponse(); err == nil ||
 		!strings.Contains(err.Error(), "not a backend analyzer") {
 		t.Errorf("plain server accepted an assign handshake: %v", err)
-	}
-}
-
-// TestRetentionFoldSiteIdentity pins the retention fold under content-derived
-// SiteKeys: the same bug from many evicted sessions folds to one site whose
-// count sums across sessions, byte-identical to a server that retained every
-// session individually.
-func TestRetentionFoldSiteIdentity(t *testing.T) {
-	log := recordScenario(t, 1, true)
-	const n = 6
-	run := func(cfg ingest.Config) *ingest.Server {
-		srv, addr := startServer(t, cfg)
-		for i := 0; i < n; i++ {
-			c, err := ingest.Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.StreamTrace(fmt.Sprintf("same-%d", i), log, 0); err != nil {
-				t.Fatal(err)
-			}
-			c.Close()
-		}
-		return srv
-	}
-	folded := run(ingest.Config{RetainSessions: 1})
-	whole := run(ingest.Config{})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for len(folded.Sessions()) > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("registry still holds %d sessions", len(folded.Sessions()))
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	a, b := folded.Aggregate(), whole.Aggregate()
-	if a.Merged.Format() != b.Merged.Format() {
-		t.Errorf("folded aggregate != fully retained aggregate:\n--- folded ---\n%s--- whole ---\n%s",
-			a.Merged.Format(), b.Merged.Format())
-	}
-	if got, want := a.Merged.Locations(), b.Merged.Locations(); got != want || got == 0 {
-		t.Errorf("folded sites = %d, want %d (> 0)", got, want)
-	}
-	for _, w := range a.Merged.Sites() {
-		if w.Count%n != 0 {
-			t.Errorf("site %s/%s count %d not a multiple of %d identical sessions", w.Tool, w.Kind, w.Count, n)
-		}
-	}
-}
-
-// TestAdaptiveReportInterval pins the pressure-adaptive snapshot cadence: at
-// sustained high pressure (a full one-slot server) most ticks are deferred
-// (one in snapshotDeferStride taken), the deferral count is surfaced in the
-// session's snapshot listing, and at zero pressure the cadence is untouched.
-func TestAdaptiveReportInterval(t *testing.T) {
-	log := recordScenario(t, 1, true)
-
-	stream := func(srv *ingest.Server, addr, name string) {
-		t.Helper()
-		c, err := ingest.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Hello(name); err != nil {
-			t.Fatal(err)
-		}
-		// ~10 report-interval ticks while the stream is live.
-		for i := 0; i < 10; i++ {
-			end := (i + 1) * 64
-			if end > len(log) {
-				end = len(log)
-			}
-			if err := c.SendEvents(log[i*64 : end]); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-		if _, err := c.Finish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// One slot: the session itself saturates the server, pressure is full
-	// for its whole life, so the stride must defer most ticks.
-	srv, addr := startServer(t, ingest.Config{
-		MaxSessions: 1, ReportInterval: 20 * time.Millisecond, AdaptiveReportInterval: true,
-	})
-	stream(srv, addr, "pressured")
-	sess := srv.SessionByName("pressured")
-	if sess == nil {
-		t.Fatal("session not registered")
-	}
-	deferred := sess.SnapshotsDeferred()
-	if deferred == 0 {
-		t.Error("no snapshot ticks deferred at full pressure")
-	}
-	if !strings.Contains(sess.FormatSnapshots(), "deferred under pressure") {
-		t.Errorf("snapshot listing does not disclose deferrals:\n%s", sess.FormatSnapshots())
-	}
-
-	// Plenty of slots: zero pressure, the adaptive cadence must be inert.
-	calm, caddr := startServer(t, ingest.Config{
-		MaxSessions: 8, ReportInterval: 20 * time.Millisecond, AdaptiveReportInterval: true,
-	})
-	stream(calm, caddr, "calm")
-	if sess := calm.SessionByName("calm"); sess.SnapshotsDeferred() != 0 {
-		t.Errorf("%d ticks deferred at zero pressure, want 0", sess.SnapshotsDeferred())
 	}
 }

@@ -162,7 +162,7 @@ func (s *Server) acquireSlot() (waited bool, rej *rejectError) {
 			reason: "slots",
 			msg:    fmt.Sprintf("no analysis slot within %s (%d in use)", s.slotWaitBound(), cap(s.sem)),
 		}
-	case <-s.loop.shutdown:
+	case <-s.loop.Done():
 		return true, &rejectError{reason: "shutdown", msg: "server shutting down"}
 	}
 }

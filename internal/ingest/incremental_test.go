@@ -418,3 +418,49 @@ func TestAggregateConsistentUnderRetention(t *testing.T) {
 			a.Sessions, a.Reported, clients*perClient)
 	}
 }
+
+// TestRetentionFoldSiteIdentity pins the retention fold under content-derived
+// SiteKeys: the same bug from many evicted sessions folds to one site whose
+// count sums across sessions, byte-identical to a server that retained every
+// session individually.
+func TestRetentionFoldSiteIdentity(t *testing.T) {
+	log := recordScenario(t, 1, true)
+	const n = 6
+	run := func(cfg ingest.Config) *ingest.Server {
+		srv, addr := startServer(t, cfg)
+		for i := 0; i < n; i++ {
+			c, err := ingest.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.StreamTrace(fmt.Sprintf("same-%d", i), log, 0); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+		}
+		return srv
+	}
+	folded := run(ingest.Config{RetainSessions: 1})
+	whole := run(ingest.Config{})
+
+	deadline := time.Now().Add(10 * time.Second)
+	for len(folded.Sessions()) > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("registry still holds %d sessions", len(folded.Sessions()))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	a, b := folded.Aggregate(), whole.Aggregate()
+	if a.Merged.Format() != b.Merged.Format() {
+		t.Errorf("folded aggregate != fully retained aggregate:\n--- folded ---\n%s--- whole ---\n%s",
+			a.Merged.Format(), b.Merged.Format())
+	}
+	if got, want := a.Merged.Locations(), b.Merged.Locations(); got != want || got == 0 {
+		t.Errorf("folded sites = %d, want %d (> 0)", got, want)
+	}
+	for _, w := range a.Merged.Sites() {
+		if w.Count%n != 0 {
+			t.Errorf("site %s/%s count %d not a multiple of %d identical sessions", w.Tool, w.Kind, w.Count, n)
+		}
+	}
+}

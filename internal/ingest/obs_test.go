@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -294,7 +295,7 @@ func TestMetricCatalog(t *testing.T) {
 	if _, err := ingest.NewServer(ingest.Config{Tools: scenario.AllTools, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ingest.NewRouter(ingest.RouterConfig{Backends: []string{"unix:/nonexistent.sock"}, Metrics: reg}); err != nil {
+	if _, err := fleet.NewRouter(fleet.RouterConfig{Backends: []string{"unix:/nonexistent.sock"}, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	engine.NewMetrics(reg)

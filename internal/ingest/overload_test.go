@@ -457,3 +457,64 @@ func TestFoldSiteCapCompaction(t *testing.T) {
 		t.Errorf("compaction metric = %d, want %d", got, agg.CompactedSites)
 	}
 }
+
+// TestAdaptiveReportInterval pins the pressure-adaptive snapshot cadence: at
+// sustained high pressure (a full one-slot server) most ticks are deferred
+// (one in snapshotDeferStride taken), the deferral count is surfaced in the
+// session's snapshot listing, and at zero pressure the cadence is untouched.
+func TestAdaptiveReportInterval(t *testing.T) {
+	log := recordScenario(t, 1, true)
+
+	stream := func(srv *ingest.Server, addr, name string) {
+		t.Helper()
+		c, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Hello(name); err != nil {
+			t.Fatal(err)
+		}
+		// ~10 report-interval ticks while the stream is live.
+		for i := 0; i < 10; i++ {
+			end := (i + 1) * 64
+			if end > len(log) {
+				end = len(log)
+			}
+			if err := c.SendEvents(log[i*64 : end]); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
+		if _, err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One slot: the session itself saturates the server, pressure is full
+	// for its whole life, so the stride must defer most ticks.
+	srv, addr := startServer(t, ingest.Config{
+		MaxSessions: 1, ReportInterval: 20 * time.Millisecond, AdaptiveReportInterval: true,
+	})
+	stream(srv, addr, "pressured")
+	sess := srv.SessionByName("pressured")
+	if sess == nil {
+		t.Fatal("session not registered")
+	}
+	deferred := sess.SnapshotsDeferred()
+	if deferred == 0 {
+		t.Error("no snapshot ticks deferred at full pressure")
+	}
+	if !strings.Contains(sess.FormatSnapshots(), "deferred under pressure") {
+		t.Errorf("snapshot listing does not disclose deferrals:\n%s", sess.FormatSnapshots())
+	}
+
+	// Plenty of slots: zero pressure, the adaptive cadence must be inert.
+	calm, caddr := startServer(t, ingest.Config{
+		MaxSessions: 8, ReportInterval: 20 * time.Millisecond, AdaptiveReportInterval: true,
+	})
+	stream(calm, caddr, "calm")
+	if sess := calm.SessionByName("calm"); sess.SnapshotsDeferred() != 0 {
+		t.Errorf("%d ticks deferred at zero pressure, want 0", sess.SnapshotsDeferred())
+	}
+}

@@ -5,16 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/highlevel"
-	"repro/internal/hybrid"
-	"repro/internal/lockset"
-	"repro/internal/memcheck"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
-	"repro/internal/vectorclock"
 	"repro/internal/vm"
 )
 
@@ -29,19 +23,14 @@ const (
 	ToolHighLevel = "highlevel"
 )
 
-// AllTools returns the full six-tool registry the conformance suite runs:
-// the paper's strongest lock-set configuration (HWLC+DR), the DJIT
-// happens-before baseline, the hybrid, and the three auxiliary checkers.
-// Every call returns fresh specs; instances never share state.
+// AllTools returns the full six-tool registry the conformance suite runs,
+// core.Options{}.ParseTools("all") as traced and bench run it: the paper's
+// strongest lock-set configuration (HWLC+DR), the DJIT happens-before
+// baseline, the hybrid, and the three auxiliary checkers. Every call returns
+// fresh specs; instances never share state.
 func AllTools() []trace.ToolSpec {
-	return []trace.ToolSpec{
-		lockset.Spec(lockset.ConfigHWLCDR()),
-		vectorclock.Spec(vectorclock.DefaultConfig()),
-		hybrid.Spec(hybrid.Config{}),
-		deadlock.Spec(deadlock.Config{}),
-		memcheck.Spec(memcheck.Config{}),
-		highlevel.Spec(highlevel.Config{}),
-	}
+	specs, _ := core.Options{}.ParseTools("all") // "all" always parses
+	return specs
 }
 
 // Record executes the scenario variant once with only the trace recorder
