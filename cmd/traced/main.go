@@ -51,6 +51,11 @@
 //	traced -listen unix:/tmp/traced.sock -max-sessions 4 -admit-timeout 500ms -sampling -ladder
 //	traced -listen unix:/tmp/traced.sock -grace 5s    # shutdown drain bound (default 30s)
 //
+// A unix socket file left behind by a daemon that was killed does not block
+// a restart on the same path: a socket that refuses connections is removed
+// and listened on again. A socket another daemon still serves, and a file
+// that is not a socket, make -listen fail as before.
+//
 // # Multi-process tier
 //
 // The daemon also runs as either half of the router → N backends tier

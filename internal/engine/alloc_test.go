@@ -169,9 +169,12 @@ func recordFlood(t *testing.T, threads, sites, reps int) (*vm.VM, []tracelog.Eve
 
 // TestZeroAllocFoldedWarning budgets the reporting path: a warning that
 // folds into an existing site costs a count increment and nothing on the
-// heap, whether it enters the collector directly or through the lock-set
-// detector's SHARED-MODIFIED state, and a flood of such warnings through the
-// whole six-tool registry stays within the end-to-end budget.
+// heap, whether it enters the collector directly, after the collector was
+// cloned, compacted or merged, or through the lock-set detector's
+// SHARED-MODIFIED state, and a flood of such warnings through the whole
+// six-tool registry stays within the end-to-end budget. Past the fold, a
+// Merge costs a number of allocations set by its map's tables, not by its
+// sites, and rendering costs one per distinct block and stack at most.
 func TestZeroAllocFoldedWarning(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments every access; budget enforced by the non-race CI step")
@@ -188,6 +191,88 @@ func TestZeroAllocFoldedWarning(t *testing.T) {
 		if got := col.Sites()[0].Count; got != 102 {
 			t.Errorf("site count %d, want 102", got)
 		}
+	})
+
+	t.Run("collector-add-after-clone-compact-merge", func(t *testing.T) {
+		col := report.NewCollector(nil, nil)
+		w := report.Warning{Tool: "helgrind", Kind: report.KindRace, Addr: 0x1000, State: "shared modified, no locks"}
+		for s := trace.StackID(1); s <= 8; s++ {
+			w.Stack = s
+			col.Add(w)
+		}
+		w.Stack = 2
+		clone := col.Clone()
+		merged := report.Merge(nil, nil, col, clone)
+		col.CompactTail(4)
+		for _, c := range []struct {
+			name string
+			col  *report.Collector
+			base int
+		}{{"compacted original", col, 1}, {"clone", clone, 1}, {"merge output", merged, 2}} {
+			c.col.Add(w) // refill the stack's slot
+			if allocs := testing.AllocsPerRun(100, func() { c.col.Add(w) }); allocs != 0 {
+				t.Errorf("folded Add on the %s allocated %.1f per call, want 0", c.name, allocs)
+			}
+			for _, site := range c.col.Sites() {
+				if got, want := site.Count, c.base+102; site.Stack == w.Stack && got != want {
+					t.Errorf("%s: site count %d, want %d", c.name, got, want)
+				}
+			}
+		}
+	})
+
+	t.Run("merge-4000-sites", func(t *testing.T) {
+		// Two collectors of 4,000 sites each, half of them shared: the
+		// output's map is sized once and its exemplars take at most two
+		// slabs, so the count does not follow the sites. The map still
+		// allocates one table per ~1,000 entries, which the budget covers.
+		const sites, budget = 4000, 64
+		a, b := report.NewCollector(nil, nil), report.NewCollector(nil, nil)
+		for i := 0; i < sites; i++ {
+			a.Add(report.Warning{Tool: "helgrind", Kind: report.KindRace, Stack: trace.StackID(1 + i)})
+			b.Add(report.Warning{Tool: "helgrind", Kind: report.KindRace, Stack: trace.StackID(1 + i + sites/2)})
+		}
+		var m *report.Collector
+		allocs := testing.AllocsPerRun(5, func() { m = report.Merge(nil, nil, a, b) })
+		if m.Locations() != sites*3/2 {
+			t.Fatalf("merged %d sites, want %d", m.Locations(), sites*3/2)
+		}
+		if allocs > budget {
+			t.Errorf("Merge of two %d-site collectors allocated %.0f, budget %d", sites, allocs, budget)
+		}
+		t.Logf("%.0f allocs for %d merged sites", allocs, m.Locations())
+	})
+
+	t.Run("format-per-block-and-stack", func(t *testing.T) {
+		// 400 sites (20 stacks × 4 tools × 5 kinds) over 10 blocks,
+		// resolved through the daemon's resolver, whose BlockInfo copies
+		// the descriptor.
+		const stacks, blocks, constant = 20, 10, 16
+		md := &tracelog.Metadata{Stacks: map[trace.StackID][]trace.Frame{}, Blocks: map[trace.BlockID]trace.Block{}}
+		for s := 1; s <= stacks; s++ {
+			md.Stacks[trace.StackID(s)] = []trace.Frame{{Fn: fmt.Sprintf("fn%d", s), File: "f.cc", Line: s}}
+		}
+		for b := 1; b <= blocks; b++ {
+			md.Blocks[trace.BlockID(b)] = trace.Block{ID: trace.BlockID(b), Size: 64, Tag: "obj", Thread: 1, Stack: trace.StackID(b)}
+		}
+		res := tracelog.NewTableResolver()
+		res.AddMetadata(md)
+		col := report.NewCollector(res, nil)
+		tools := []string{"helgrind", "djit", "hybrid", "memcheck"}
+		for i := 0; i < 400; i++ {
+			col.Add(report.Warning{Tool: tools[i/stacks%4], Kind: report.Kind(i / stacks / 4), Addr: trace.Addr(i * 8),
+				Stack: trace.StackID(1 + i%stacks), Block: trace.BlockID(1 + i%blocks), Thread: trace.ThreadID(i)})
+		}
+		if col.Locations() != 400 {
+			t.Fatalf("%d sites, want 400", col.Locations())
+		}
+		buf := make([]byte, 0, 2*len(col.Format()))
+		allocs := testing.AllocsPerRun(5, func() { col.AppendFormat(buf[:0]) })
+		if allocs > stacks+blocks+constant {
+			t.Errorf("AppendFormat of %d sites allocated %.0f, budget %d (blocks + stacks + %d)",
+				col.Locations(), allocs, stacks+blocks+constant, constant)
+		}
+		t.Logf("%.0f allocs for %d sites", allocs, col.Locations())
 	})
 
 	t.Run("lockset-shared-modified", func(t *testing.T) {

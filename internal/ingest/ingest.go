@@ -59,9 +59,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/engine"
@@ -359,13 +362,40 @@ type sessionError struct {
 func (e *sessionError) Error() string { return e.phase + ": " + e.err.Error() }
 
 // Listen opens a listener from a "network:address" spec: "tcp:127.0.0.1:0"
-// or "unix:/path/to.sock".
+// or "unix:/path/to.sock". A unix socket file left behind by a daemon that
+// died without closing its listener does not block a restart: when the bind
+// finds the path taken, a dial that is refused and an Lstat that shows a
+// socket prove that nothing listens there, and the file is removed before
+// one more attempt. A live listener's socket and a file that is not a
+// socket are never touched.
 func Listen(spec string) (net.Listener, error) {
 	network, addr, err := serve.SplitSpec(spec)
 	if err != nil {
 		return nil, err
 	}
+	ln, err := net.Listen(network, addr)
+	if err == nil || network != "unix" || !errors.Is(err, syscall.EADDRINUSE) || !staleSocket(addr) {
+		return ln, err
+	}
+	if os.Remove(addr) != nil {
+		return nil, err
+	}
 	return net.Listen(network, addr)
+}
+
+// staleSocket reports whether path is a unix socket file that refuses
+// connections.
+func staleSocket(path string) bool {
+	conn, err := net.Dial("unix", path)
+	if err == nil {
+		conn.Close()
+		return false
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		return false
+	}
+	fi, err := os.Lstat(path)
+	return err == nil && fi.Mode().Type() == fs.ModeSocket
 }
 
 // DialSpec connects to a "network:address" spec (see Listen).

@@ -24,10 +24,10 @@ import (
 // PrefixConsistent.
 func (c *Collector) Manifest() string {
 	var b strings.Builder
-	for _, k := range c.order {
-		w := c.sites[k]
+	for _, e := range c.order {
+		w := e.w
 		fmt.Fprintf(&b, "seq=%d tool=%s kind=%s site=%s count=%d\n",
-			w.Seq, w.Tool, w.Kind.Category(), k.Loc, w.Count)
+			w.Seq, w.Tool, w.Kind.Category(), e.key.Loc, w.Count)
 	}
 	return b.String()
 }

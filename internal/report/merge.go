@@ -34,21 +34,49 @@ import (
 //
 // The totals are additive: Merge assumes every dynamic warning occurrence
 // was observed by exactly one input.
+//
+// The output's map is sized once, to the sum of the inputs, and its order
+// and exemplars start at the size of the largest input, which is exact when
+// the inputs overlap, as successive folds of one aggregate do. The
+// exemplars go into at most two slabs, so the allocations do not follow the
+// number of sites beyond the map's own tables. The output starts with no
+// stack slots: its first Add at each stack takes the slow path.
 func Merge(res trace.Resolver, sup Suppressor, parts ...*Collector) *Collector {
-	out := NewCollector(res, sup)
+	n, largest := 0, 0
+	for _, c := range parts {
+		if c != nil {
+			n += len(c.order)
+			largest = max(largest, len(c.order))
+		}
+	}
+	out := &Collector{
+		res:   res,
+		sup:   sup,
+		sites: make(map[SiteKey]*Warning, n),
+		order: make([]site, 0, largest),
+	}
+	// A slab never grows, so no append moves an exemplar a pointer already
+	// refers to. When the first fills, the second holds one exemplar per
+	// input site still to come, which the rest cannot exceed.
+	slab, left := make([]Warning, 0, largest), n
 	for _, c := range parts {
 		if c == nil {
 			continue
 		}
 		out.total += c.total
 		out.suppressed += c.suppressed
-		for _, k := range c.order {
-			w := c.sites[k]
-			prev, ok := out.sites[k]
+		for _, e := range c.order {
+			left--
+			w := e.w
+			prev, ok := out.sites[e.key]
 			if !ok {
-				cp := *w
-				out.sites[k] = &cp
-				out.order = append(out.order, k)
+				if len(slab) == cap(slab) {
+					slab = make([]Warning, 0, left+1)
+				}
+				slab = append(slab, *w)
+				cp := &slab[len(slab)-1]
+				out.sites[e.key] = cp
+				out.order = append(out.order, site{e.key, cp})
 				continue
 			}
 			prev.Count += w.Count
@@ -62,19 +90,10 @@ func Merge(res trace.Resolver, sup Suppressor, parts ...*Collector) *Collector {
 			}
 		}
 	}
-	// Sort (sequence, key) pairs, not the keys alone: a comparison then
-	// reads no map. The sort is stable, so the order is the same as sorting
-	// the keys with the sequences looked up.
-	type entry struct {
-		seq uint64
-		key SiteKey
-	}
-	ents := make([]entry, len(out.order))
-	for i, k := range out.order {
-		ents[i] = entry{out.sites[k].Seq, k}
-	}
-	slices.SortStableFunc(ents, func(a, b entry) int {
-		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+	// Keys are distinct, so (sequence, key) is a total order and any sort
+	// gives the one result.
+	slices.SortFunc(out.order, func(a, b site) int {
+		if c := cmp.Compare(a.w.Seq, b.w.Seq); c != 0 {
 			return c
 		}
 		if c := strings.Compare(a.key.Tool, b.key.Tool); c != 0 {
@@ -85,9 +104,6 @@ func Merge(res trace.Resolver, sup Suppressor, parts ...*Collector) *Collector {
 		}
 		return bytes.Compare(a.key.Loc[:], b.key.Loc[:])
 	})
-	for i, e := range ents {
-		out.order[i] = e.key
-	}
 	return out
 }
 

@@ -144,7 +144,7 @@ func refDecodeWire(payload []byte) (*Collector, error) {
 			Seq:       h[1],
 		}
 		out.sites[k] = w
-		out.order = append(out.order, k)
+		out.order = append(out.order, site{k, w})
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("report: %d trailing byte(s) after collector encoding", r.Len())

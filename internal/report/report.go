@@ -44,15 +44,64 @@ type Suppressor interface {
 }
 
 // Collector accumulates warnings with per-site deduplication.
+//
+// Every site lives in sites, keyed for folding by SiteKey, and in order, the
+// first-seen order that Format, Manifest, AppendWire and Merge walk without
+// touching the map. A repeated warning does not reach the map either: it
+// folds through its stack's slot (see stackSlot).
 type Collector struct {
 	res        trace.Resolver
 	sup        Suppressor
 	seq        func() uint64
 	sites      map[SiteKey]*Warning
-	order      []SiteKey
-	locs       map[trace.StackID]LocKey
+	order      []site
+	stackIx    trace.Dense // StackID -> index into slots
+	slots      []stackSlot
 	suppressed int
 	total      int
+}
+
+// site is one entry of a collector's first-seen order: the site's key and
+// its exemplar warning, which is also the value sites holds for the key.
+type site struct {
+	key SiteKey
+	w   *Warning
+}
+
+// numKinds is the number of warning kinds a stackSlot caches a site for.
+const numKinds = int(KindHighLevel) + 1
+
+// stackSlot is a collector's record of one stack that raised a warning: the
+// stack's LocKey, frozen at its first use (see slot), and per kind the last
+// site a warning at this stack opened or folded into. The cached site is
+// only a shortcut past the SiteKey map: a warning folds through it when the
+// site's tool equals the warning's, which with the same stack and kind means
+// the same SiteKey. Every other warning takes the slow path and refills the
+// slot — a collector shared by several tools, a stack whose frames equal
+// another stack's, a kind outside the known range.
+//
+// A suppressed warning is never cached, so it costs on every occurrence what
+// it always did. A cached pointer is only valid while the site is in this
+// collector: Clone and CompactTail clear the cache and keep the LocKeys, and
+// a Merge output starts with no slots.
+//
+// Slots are indexed through a trace.Dense over the StackID. A stream can
+// therefore cost a collector at most what it costs any detector's Dense: an
+// index window of up to denseDirectLimit (2^21) int32s, 8 MiB, reached only
+// when a warning names a stack ID just below 2^21; IDs at or above it, or
+// negative, take Dense's map fallback, one entry each. On top of that each
+// distinct stack that raised a warning costs one 64-byte slot.
+type stackSlot struct {
+	stack trace.StackID
+	loc   LocKey
+	sites [numKinds]*Warning
+}
+
+// cache remembers s as the site of kind k at this slot's stack.
+func (sl *stackSlot) cache(k Kind, s *Warning) {
+	if int(k) < numKinds {
+		sl.sites[k] = s
+	}
 }
 
 // NewCollector creates a collector. res resolves stacks and blocks for
@@ -75,12 +124,27 @@ func (c *Collector) SetSequencer(fn func() uint64) { c.seq = fn }
 // occurrence at a site retains its details; later ones only bump the count.
 // Add reports whether the warning was a new site (neither folded nor
 // suppressed). A folded occurrence allocates nothing: w is copied to the
-// heap only when it opens a site.
+// heap only when it opens a site. A repeat at a site its stack's slot
+// caches costs a bounds check, an array load and a tool comparison.
 func (c *Collector) Add(w Warning) bool {
 	c.total++
-	key := SiteKey{Tool: w.Tool, Kind: w.Kind, Loc: c.locKey(w.Stack)}
+	if i := c.stackIx.Lookup(int32(w.Stack)); i >= 0 && int(w.Kind) < numKinds {
+		if s := c.slots[i].sites[w.Kind]; s != nil && s.Tool == w.Tool {
+			s.Count++
+			return false
+		}
+	}
+	return c.addSlow(w)
+}
+
+// addSlow folds w by its SiteKey, or opens its site, and caches the site in
+// the stack's slot; a suppressed warning opens nothing and is not cached.
+func (c *Collector) addSlow(w Warning) bool {
+	sl := c.slot(w.Stack)
+	key := SiteKey{Tool: w.Tool, Kind: w.Kind, Loc: sl.loc}
 	if prev, ok := c.sites[key]; ok {
 		prev.Count++
+		sl.cache(w.Kind, prev)
 		return false
 	}
 	if c.seq != nil {
@@ -92,11 +156,12 @@ func (c *Collector) Add(w Warning) bool {
 			return false
 		}
 	}
-	site := new(Warning)
-	*site = w
-	site.Count = 1
-	c.sites[key] = site
-	c.order = append(c.order, key)
+	s := new(Warning)
+	*s = w
+	s.Count = 1
+	c.sites[key] = s
+	c.order = append(c.order, site{key, s})
+	sl.cache(w.Kind, s)
 	return true
 }
 
@@ -107,24 +172,31 @@ var _ trace.Reporter = (*Collector)(nil)
 // original. Warnings added to either side afterwards are invisible to the
 // other. The clone carries no sequencer — it is a frozen checkpoint meant for
 // formatting and merging, not for further collection on a live stream.
+//
+// The clone keeps every stack's frozen LocKey but none of the slots' cached
+// sites: those point into the original's sites, and a fold through one would
+// count on the wrong side. A later Add to the clone refills its slots.
 func (c *Collector) Clone() *Collector {
 	out := &Collector{
 		res:        c.res,
 		sup:        c.sup,
-		sites:      make(map[SiteKey]*Warning, len(c.sites)),
-		order:      append([]SiteKey(nil), c.order...),
+		sites:      make(map[SiteKey]*Warning, len(c.order)),
+		order:      make([]site, len(c.order)),
+		slots:      make([]stackSlot, len(c.slots)),
 		suppressed: c.suppressed,
 		total:      c.total,
 	}
-	for k, w := range c.sites {
-		cp := *w
-		out.sites[k] = &cp
+	slab := make([]Warning, len(c.order))
+	for i, e := range c.order {
+		slab[i] = *e.w
+		out.sites[e.key] = &slab[i]
+		out.order[i] = site{e.key, &slab[i]}
 	}
-	if len(c.locs) > 0 {
-		out.locs = make(map[trace.StackID]LocKey, len(c.locs))
-		for id, lk := range c.locs {
-			out.locs[id] = lk
-		}
+	// Slots were indexed in order and none is ever evicted, so indexing
+	// their stacks in the same order rebuilds the same positions.
+	for i, sl := range c.slots {
+		out.stackIx.Index(int32(sl.stack))
+		out.slots[i] = stackSlot{stack: sl.stack, loc: sl.loc}
 	}
 	return out
 }
@@ -138,6 +210,10 @@ func (c *Collector) Clone() *Collector {
 // reasoning over merged collectors carries over. A max <= 0 or >= Locations
 // is a no-op.
 //
+// Compaction clears every slot's cached sites (keeping the frozen LocKeys):
+// a slot left pointing at a discarded site would fold a later occurrence
+// into it, out of the report but still in the total.
+//
 // This exists for the ingest retention fold: a month-long daemon folding
 // every terminal session into one merged collector needs a bound on distinct
 // sites, and an explicit tally of what the bound cost beats a silently
@@ -147,21 +223,25 @@ func (c *Collector) CompactTail(max int) (sites, occurrences int) {
 		return 0, 0
 	}
 	tail := c.order[max:]
-	for _, k := range tail {
-		occurrences += c.sites[k].Count
-		delete(c.sites, k)
+	for _, e := range tail {
+		occurrences += e.w.Count
+		delete(c.sites, e.key)
 	}
 	sites = len(tail)
+	clear(tail)
 	c.order = c.order[:max:max]
 	c.total -= occurrences
+	for i := range c.slots {
+		c.slots[i].sites = [numKinds]*Warning{}
+	}
 	return sites, occurrences
 }
 
 // Sites returns the distinct warning sites in first-seen order.
 func (c *Collector) Sites() []*Warning {
-	out := make([]*Warning, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, c.sites[k])
+	out := make([]*Warning, len(c.order))
+	for i, e := range c.order {
+		out[i] = e.w
 	}
 	return out
 }
@@ -190,8 +270,8 @@ func (c *Collector) LocationsByTool() map[string]int {
 // CountByKind returns the number of distinct sites per warning kind.
 func (c *Collector) CountByKind() map[Kind]int {
 	m := make(map[Kind]int)
-	for _, k := range c.order {
-		m[k.Kind]++
+	for _, e := range c.order {
+		m[e.key.Kind]++
 	}
 	return m
 }
@@ -200,7 +280,11 @@ func (c *Collector) CountByKind() map[Kind]int {
 // keys are the cross-process identity of each site — equal keys from
 // different sessions denote the same bug.
 func (c *Collector) Keys() []SiteKey {
-	return append([]SiteKey(nil), c.order...)
+	out := make([]SiteKey, len(c.order))
+	for i, e := range c.order {
+		out[i] = e.key
+	}
+	return out
 }
 
 // Format renders all warning sites in a Helgrind-like textual format.
@@ -211,11 +295,14 @@ func (c *Collector) Format() string {
 // AppendFormat appends the Format rendering to dst and returns the extended
 // buffer. Each stack is resolved and rendered once per call: a stack shared
 // by many sites (a common allocation site, say) is copied from where it was
-// first rendered.
+// first rendered. Each block is resolved once per call too.
 func (c *Collector) AppendFormat(dst []byte) []byte {
-	memo := make(stackMemo, len(c.order))
-	for _, k := range c.order {
-		dst = appendWarning(dst, c.sites[k], c.res, memo)
+	memo := &formatMemo{
+		stacks: make(map[trace.StackID][2]int, len(c.order)),
+		blocks: make(map[trace.BlockID]*trace.Block),
+	}
+	for _, e := range c.order {
+		dst = appendWarning(dst, e.w, c.res, memo)
 		dst = append(dst, '\n')
 	}
 	dst = append(dst, "== "...)
@@ -233,11 +320,28 @@ func FormatWarning(w *Warning, res trace.Resolver) string {
 	return string(appendWarning(nil, w, res, nil))
 }
 
-// stackMemo records, per stack, the byte range of dst its rendered frames
-// already occupy within one AppendFormat call.
-type stackMemo map[trace.StackID][2]int
+// formatMemo holds what one AppendFormat call has already resolved: per
+// stack, the byte range of dst its rendered frames occupy, and per block,
+// the resolver's descriptor (nil when it resolves to none).
+type formatMemo struct {
+	stacks map[trace.StackID][2]int
+	blocks map[trace.BlockID]*trace.Block
+}
 
-func appendWarning(dst []byte, w *Warning, res trace.Resolver, memo stackMemo) []byte {
+// blockInfo resolves block id once per memo; a nil memo resolves every call.
+func (m *formatMemo) blockInfo(res trace.Resolver, id trace.BlockID) *trace.Block {
+	if m == nil {
+		return res.BlockInfo(id)
+	}
+	if blk, ok := m.blocks[id]; ok {
+		return blk
+	}
+	blk := res.BlockInfo(id)
+	m.blocks[id] = blk
+	return blk
+}
+
+func appendWarning(dst []byte, w *Warning, res trace.Resolver, memo *formatMemo) []byte {
 	switch w.Kind {
 	case KindRace:
 		dst = appendTool(dst, w.Tool, " Possible data race ")
@@ -266,7 +370,7 @@ func appendWarning(dst []byte, w *Warning, res trace.Resolver, memo stackMemo) [
 	}
 	dst = appendStack(dst, w.Stack, res, memo)
 	if res != nil {
-		if blk := res.BlockInfo(w.Block); blk != nil {
+		if blk := memo.blockInfo(res, w.Block); blk != nil {
 			dst = appendTool(dst, w.Tool, " Address 0x")
 			dst = appendHexUpper(dst, uint64(w.Addr))
 			dst = append(dst, " is "...)
@@ -309,12 +413,14 @@ func appendTool(dst []byte, tool, text string) []byte {
 // appendStack appends a stack's frames, innermost first like Helgrind, each
 // on its own indented line. With a memo, a stack already rendered into dst
 // is copied from there rather than resolved again.
-func appendStack(dst []byte, id trace.StackID, res trace.Resolver, memo stackMemo) []byte {
+func appendStack(dst []byte, id trace.StackID, res trace.Resolver, memo *formatMemo) []byte {
 	if res == nil || id == trace.NoStack {
 		return dst
 	}
-	if r, ok := memo[id]; ok {
-		return append(dst, dst[r[0]:r[1]]...)
+	if memo != nil {
+		if r, ok := memo.stacks[id]; ok {
+			return append(dst, dst[r[0]:r[1]]...)
+		}
 	}
 	start := len(dst)
 	frames := res.Stack(id)
@@ -333,7 +439,7 @@ func appendStack(dst []byte, id trace.StackID, res trace.Resolver, memo stackMem
 		dst = append(dst, ")\n"...)
 	}
 	if memo != nil {
-		memo[id] = [2]int{start, len(dst)}
+		memo.stacks[id] = [2]int{start, len(dst)}
 	}
 	return dst
 }

@@ -87,25 +87,21 @@ func LocKeyFor(stack trace.StackID, frames []trace.Frame) LocKey {
 	return k
 }
 
-// locKey resolves and digests one stack through the collector's per-stack
-// memo. The memo serves two purposes: it keeps the occurrence-folding hot
-// path at two map lookups (no re-resolution, no re-hashing per duplicate
-// warning), and it freezes each stack's key at its first use — a resolver
-// that learns a stack mid-stream cannot split one site across two keys
-// between a snapshot and the final report, which is what keeps snapshot
-// manifests prefix-consistent.
-func (c *Collector) locKey(stack trace.StackID) LocKey {
-	if k, ok := c.locs[stack]; ok {
-		return k
+// slot returns the stack's record, creating it on the stack's first warning
+// with the stack resolved and digested. The record serves two purposes: it
+// keeps a repeated warning off the SiteKey map (no re-resolution, no
+// re-hashing, no map probe; see Add), and it freezes each stack's key at its
+// first use — a resolver that learns a stack mid-stream cannot split one
+// site across two keys between a snapshot and the final report, which is
+// what keeps snapshot manifests prefix-consistent.
+func (c *Collector) slot(stack trace.StackID) *stackSlot {
+	i := c.stackIx.Index(int32(stack))
+	if i == len(c.slots) {
+		var frames []trace.Frame
+		if c.res != nil && stack != trace.NoStack {
+			frames = c.res.Stack(stack)
+		}
+		c.slots = append(c.slots, stackSlot{stack: stack, loc: LocKeyFor(stack, frames)})
 	}
-	var frames []trace.Frame
-	if c.res != nil && stack != trace.NoStack {
-		frames = c.res.Stack(stack)
-	}
-	k := LocKeyFor(stack, frames)
-	if c.locs == nil {
-		c.locs = make(map[trace.StackID]LocKey)
-	}
-	c.locs[stack] = k
-	return k
+	return &c.slots[i]
 }

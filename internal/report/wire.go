@@ -40,8 +40,8 @@ func (c *Collector) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(c.total))
 	b = binary.AppendUvarint(b, uint64(c.suppressed))
 	b = binary.AppendUvarint(b, uint64(len(c.order)))
-	for _, k := range c.order {
-		w := c.sites[k]
+	for _, e := range c.order {
+		k, w := e.key, e.w
 		b = wire.AppendString(b, k.Tool)
 		b = append(b, byte(k.Kind))
 		b = append(b, k.Loc[:]...)
@@ -104,7 +104,7 @@ func DecodeWire(payload []byte) (*Collector, error) {
 			r.Failf("duplicate site key")
 		}
 		out.sites[k] = w
-		out.order = append(out.order, k)
+		out.order = append(out.order, site{k, w})
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
