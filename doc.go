@@ -225,11 +225,16 @@
 //
 // internal/obs is a zero-dependency metrics registry (atomic counters,
 // gauges, fixed-bucket histograms, labelled vectors) rendering a
-// deterministic Prometheus text snapshot. engine.NewMetrics and
-// ingest.Config.Metrics thread it through the hot paths allocation-free
-// (batched event counting, pre-resolved labelled series); instrumentation
-// never touches collectors or tool state, so reports are byte-identical
-// with metrics on or off (TestEngineMetricsConformance, TestObsConformance).
+// deterministic Prometheus text snapshot. engine.NewMetrics threads it
+// through the hot paths allocation-free (batched event counting,
+// pre-resolved labelled series). The daemon tiers are always metered: an
+// ingest.Server or fleet.Router publishes on ingest.Config.Metrics or
+// fleet.RouterConfig.Metrics, or on a registry of its own when that is nil,
+// so "stats" always answers. engine.Options.Metrics stays optional for the
+// library callers that have no registry. Instrumentation never touches
+// collectors or tool state, so reports are byte-identical with engine
+// metrics on or off and a metered daemon's reports match an unmetered
+// offline replay (TestEngineMetricsConformance, TestObsConformance).
 // traced exposes the registry via the "stats" query, -http (/metrics,
 // /healthz, net/http/pprof) and -stats-interval; see the README's
 // "Observability" section for the metric catalog.

@@ -62,14 +62,13 @@ type RouterConfig struct {
 	// IdleTimeout > 0 fails a forwarded session whose client delivers no
 	// bytes for the duration (rolling, like the Server's).
 	IdleTimeout time.Duration
-	// Metrics, when non-nil, receives the router_* series and enables the
-	// "stats" query.
+	// Metrics is the registry the router publishes its router_* series on,
+	// which the "stats" query renders; nil means the router builds its own.
 	Metrics *obs.Registry
 }
 
 // Router is the session-sharding front tier.
 type Router struct {
-	cfg RouterConfig
 	met *routerMetrics
 
 	backends []*routerBackend
@@ -109,6 +108,8 @@ type routedRecord struct {
 
 // routerMetrics is the router's self-observability surface.
 type routerMetrics struct {
+	reg *obs.Registry // what the "stats" query renders
+
 	sessionsRouted  *obs.Counter
 	sessionsLost    *obs.Counter
 	backendsAlive   *obs.Gauge
@@ -117,11 +118,14 @@ type routerMetrics struct {
 	bytesForwarded  *obs.Counter
 }
 
+// newRouterMetrics registers the router metric families on reg, or on a
+// registry of the router's own when reg is nil.
 func newRouterMetrics(reg *obs.Registry, backends int) *routerMetrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	m := &routerMetrics{
+		reg:             reg,
 		sessionsRouted:  reg.Counter("router_sessions_routed_total", "Client sessions accepted and routed to a backend."),
 		sessionsLost:    reg.Counter("router_sessions_lost_total", "Sessions failed because their backend died mid-session."),
 		backendsAlive:   reg.Gauge("router_backends_alive", "Backend analyzers currently in rotation."),
@@ -138,10 +142,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("fleet: RouterConfig.Backends is required")
 	}
-	r := &Router{
-		cfg: cfg,
-		met: newRouterMetrics(cfg.Metrics, len(cfg.Backends)),
-	}
+	r := &Router{met: newRouterMetrics(cfg.Metrics, len(cfg.Backends))}
 	r.loop = serve.NewLoop(cfg.IdleTimeout, nil, r.serveConn)
 	for _, spec := range cfg.Backends {
 		if _, _, err := serve.SplitSpec(spec); err != nil {
@@ -208,10 +209,8 @@ func (r *Router) pick(name string) *routerBackend {
 func (r *Router) markDead(b *routerBackend, err error) {
 	if b.dead.CompareAndSwap(false, true) {
 		b.lastErr.Store(&err)
-		if r.met != nil {
-			r.met.backendsAlive.Add(-1)
-			r.met.backendDeaths.Inc()
-		}
+		r.met.backendsAlive.Add(-1)
+		r.met.backendDeaths.Inc()
 	}
 }
 
@@ -234,13 +233,11 @@ func (r *Router) routeSession(fw *tracelog.FrameWriter, fr *tracelog.FrameReader
 	r.nextID++
 	id := r.nextID
 	r.mu.Unlock()
-	if r.met != nil {
-		r.met.sessionsRouted.Inc()
-		fr.SetObserver(func(_ tracelog.FrameKind, payloadBytes int) {
-			r.met.framesForwarded.Inc()
-			r.met.bytesForwarded.Add(int64(payloadBytes))
-		})
-	}
+	r.met.sessionsRouted.Inc()
+	fr.SetObserver(func(_ tracelog.FrameKind, payloadBytes int) {
+		r.met.framesForwarded.Inc()
+		r.met.bytesForwarded.Add(int64(payloadBytes))
+	})
 
 	// Pick-and-dial loop: a backend that cannot even be dialed is dead, and
 	// the session re-shards immediately — only sessions already streaming to
@@ -356,9 +353,7 @@ func (r *Router) relayRefusal(fw *tracelog.FrameWriter, id uint64, name, spec st
 func (r *Router) loseSession(fw *tracelog.FrameWriter, b *routerBackend, id uint64, name string, err error) {
 	r.markDead(b, err)
 	b.lost.Add(1)
-	if r.met != nil {
-		r.met.sessionsLost.Inc()
-	}
+	r.met.sessionsLost.Inc()
 	r.finish(id, name, b.spec, "lost", nil)
 	fw.Error(fmt.Sprintf("router: backend %s lost mid-session: %v", b.spec, err))
 }
@@ -502,11 +497,7 @@ func (r *Router) serveQuery(fw *tracelog.FrameWriter, q string) {
 	case q == "sessions":
 		serve.Reply(fw, "sessions", r.formatSessions())
 	case q == "stats":
-		if r.cfg.Metrics == nil {
-			fw.Error("stats: no metrics registry attached (RouterConfig.Metrics)")
-			return
-		}
-		serve.Reply(fw, "stats", r.cfg.Metrics.Snapshot())
+		serve.Reply(fw, "stats", r.met.reg.Snapshot())
 	case strings.HasPrefix(q, "session "), strings.HasPrefix(q, "snapshots "):
 		fw.Error(fmt.Sprintf("%q: per-session state lives on the backend analyzers; query them directly", q))
 	default:

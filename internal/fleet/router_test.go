@@ -627,3 +627,55 @@ func TestRouterQueries(t *testing.T) {
 		t.Errorf("plain server accepted an assign handshake: %v", err)
 	}
 }
+
+// TestRouterStatsQuery: a router built without RouterConfig.Metrics answers
+// "stats" from a registry of its own, carrying the series one routed session
+// must have moved.
+func TestRouterStatsQuery(t *testing.T) {
+	log := recordScenario(t, 1, true)
+	_, spec := startBackend(t, ingest.Config{})
+	_, raddr := startRouter(t, []string{spec})
+
+	c, err := ingest.Dial(raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StreamTrace("one", log, 512); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	q, err := ingest.Dial(raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	text, err := q.Stats()
+	if err != nil {
+		t.Fatalf("stats query: %v", err)
+	}
+	series := map[string]int64{}
+	for _, line := range strings.Split(text, "\n") {
+		var name string
+		var v int64
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil && !strings.HasPrefix(name, "#") {
+			series[name] = v
+		}
+	}
+	for name, want := range map[string]int64{
+		"router_sessions_routed_total": 1,
+		"router_sessions_lost_total":   0,
+		"router_backends_alive":        1,
+		"router_backend_deaths_total":  0,
+	} {
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("stats series %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if got := series["router_frames_forwarded_total"]; got < 2 {
+		t.Errorf("router_frames_forwarded_total = %d, want the events and end frames at least", got)
+	}
+	if got := series["router_frame_bytes_forwarded_total"]; got < int64(len(log)) {
+		t.Errorf("router_frame_bytes_forwarded_total = %d, want >= the %d trace bytes", got, len(log))
+	}
+}

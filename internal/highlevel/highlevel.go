@@ -131,16 +131,16 @@ func (v *view) compact() {
 //
 // A thread's open critical sections are one small slice of views, searched
 // by lock on Acquire and Release; Access appends to each of them. Release
-// dedups a view per (lock, thread) by its compacted keys, encoded into a
-// reused buffer, so a repeated view costs a map probe and no allocation.
+// finds the (lock, thread) record in one lookup and dedups the view by its
+// compacted keys, encoded into a reused buffer, so a repeated view costs two
+// map probes and no allocation.
 type Detector struct {
 	trace.BaseSink
 	cfg      Config
 	col      trace.Reporter
 	cells    map[trace.BlockID]int // live blocks' granule counts
 	open     map[trace.ThreadID][]*view
-	views    map[trace.LockID]map[trace.ThreadID][]*view
-	viewKeys map[trace.LockID]map[trace.ThreadID]map[string]bool
+	recs     map[lockThread]*viewSet
 	finished bool
 	reports  int
 
@@ -160,6 +160,21 @@ type Detector struct {
 	sorted  []inter
 }
 
+// lockThread names the views one thread recorded under one lock. It is
+// eight bytes with no padding, so the map hashes it as plain memory.
+type lockThread struct {
+	lock   trace.LockID
+	thread trace.ThreadID
+}
+
+// viewSet is the distinct views one thread recorded under one lock, in
+// Release order, with the encoded keys of each for Release's dedup.
+type viewSet struct {
+	lockThread
+	views []*view
+	seen  map[string]bool
+}
+
 // Spec registers the detector with the analysis engine's tool registry. The
 // view-consistency checker is single-routed: the auxiliary tool the overload
 // ladder sheds first. Its warnings are emitted by the end-of-stream Finish
@@ -176,12 +191,11 @@ func Spec(cfg Config) trace.ToolSpec {
 // New creates a view-consistency detector writing to col.
 func New(cfg Config, col trace.Reporter) *Detector {
 	return &Detector{
-		cfg:      cfg.withDefaults(),
-		col:      col,
-		cells:    make(map[trace.BlockID]int),
-		open:     make(map[trace.ThreadID][]*view),
-		views:    make(map[trace.LockID]map[trace.ThreadID][]*view),
-		viewKeys: make(map[trace.LockID]map[trace.ThreadID]map[string]bool),
+		cfg:   cfg.withDefaults(),
+		col:   col,
+		cells: make(map[trace.BlockID]int),
+		open:  make(map[trace.ThreadID][]*view),
+		recs:  make(map[lockThread]*viewSet),
 	}
 }
 
@@ -238,16 +252,11 @@ func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _
 		d.pool = append(d.pool, v)
 		return
 	}
-	byThread, ok := d.views[l]
-	if !ok {
-		byThread = make(map[trace.ThreadID][]*view)
-		d.views[l] = byThread
-		d.viewKeys[l] = make(map[trace.ThreadID]map[string]bool)
-	}
-	seen := d.viewKeys[l][t]
-	if seen == nil {
-		seen = make(map[string]bool)
-		d.viewKeys[l][t] = seen
+	key := lockThread{l, t}
+	rec := d.recs[key]
+	if rec == nil {
+		rec = &viewSet{lockThread: key, seen: make(map[string]bool)}
+		d.recs[key] = rec
 	}
 	v.compact()
 	buf := d.scratchBuf[:0]
@@ -257,12 +266,12 @@ func (d *Detector) Release(t trace.ThreadID, l trace.LockID, _ trace.LockKind, _
 			byte(k.gran), byte(k.gran>>8), byte(k.gran>>16), byte(k.gran>>24))
 	}
 	d.scratchBuf = buf
-	if seen[string(buf)] {
+	if rec.seen[string(buf)] {
 		d.pool = append(d.pool, v)
 		return // identical view already recorded
 	}
-	seen[string(buf)] = true
-	byThread[t] = append(byThread[t], v)
+	rec.seen[string(buf)] = true
+	rec.views = append(rec.views, v)
 }
 
 // Alloc implements trace.Sink: the block's granules are the variables its
@@ -303,35 +312,39 @@ func (d *Detector) Finish() {
 		return
 	}
 	d.finished = true
-	locks := make([]trace.LockID, 0, len(d.views))
-	for l := range d.views {
-		locks = append(locks, l)
+	recs := make([]*viewSet, 0, len(d.recs))
+	for _, rec := range d.recs {
+		recs = append(recs, rec)
 	}
-	slices.Sort(locks)
-	var threads []trace.ThreadID
-	for _, l := range locks {
-		byThread := d.views[l]
-		threads = threads[:0]
-		for t := range byThread {
-			threads = append(threads, t)
+	slices.SortFunc(recs, func(a, b *viewSet) int {
+		if a.lock != b.lock {
+			return cmp.Compare(a.lock, b.lock)
 		}
-		slices.Sort(threads)
-		for _, t1 := range threads {
-			d.maximal = maximalViews(byThread[t1], d.maximal[:0])
-			for _, t2 := range threads {
-				if t1 == t2 {
+		return cmp.Compare(a.thread, b.thread)
+	})
+	for lo := 0; lo < len(recs); {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].lock == recs[lo].lock {
+			hi++
+		}
+		group := recs[lo:hi] // one lock's records, by thread
+		for _, r1 := range group {
+			d.maximal = maximalViews(r1.views, d.maximal[:0])
+			for _, r2 := range group {
+				if r1 == r2 {
 					continue
 				}
 				for _, m := range d.maximal {
 					if len(m.keys) < d.cfg.MinViewSize {
 						continue
 					}
-					if bad := d.violates(m, byThread[t2]); bad != nil {
-						d.report(l, m, bad)
+					if bad := d.violates(m, r2.views); bad != nil {
+						d.report(r1.lock, m, bad)
 					}
 				}
 			}
 		}
+		lo = hi
 	}
 }
 

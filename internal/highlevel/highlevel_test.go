@@ -241,10 +241,11 @@ func TestLargeCriticalSection(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("one %d-granule critical section took %v, want under 1s", n, elapsed)
 	}
-	if got := len(d.views[1][1]); got != 1 {
+	views := d.recs[lockThread{1, 1}].views
+	if got := len(views); got != 1 {
 		t.Fatalf("recorded %d views, want 1", got)
 	}
-	if got := len(d.views[1][1][0].keys); got != n {
+	if got := len(views[0].keys); got != n {
 		t.Errorf("the view holds %d variables, want %d", got, n)
 	}
 }

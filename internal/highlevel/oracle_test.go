@@ -17,16 +17,29 @@ import (
 // view size in State, the two stacks in Stack and PrevStack — so equal
 // ordered warning lists mean equal ordered triples, not just equal counts.
 
+// recordedViews regroups d's recorded views by lock, then thread.
+func recordedViews(d *Detector) map[trace.LockID]map[trace.ThreadID][]*view {
+	out := make(map[trace.LockID]map[trace.ThreadID][]*view)
+	for k, rec := range d.recs {
+		if out[k.lock] == nil {
+			out[k.lock] = make(map[trace.ThreadID][]*view)
+		}
+		out[k.lock][k.thread] = rec.views
+	}
+	return out
+}
+
 // refFinish is the pre-rewrite Finish over d's recorded views, reporting to
 // col instead of d's collector. It reads d and changes nothing.
 func refFinish(d *Detector, col trace.Reporter) {
-	locks := make([]trace.LockID, 0, len(d.views))
-	for l := range d.views {
+	views := recordedViews(d)
+	locks := make([]trace.LockID, 0, len(views))
+	for l := range views {
 		locks = append(locks, l)
 	}
 	sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
 	for _, l := range locks {
-		byThread := d.views[l]
+		byThread := views[l]
 		threads := make([]trace.ThreadID, 0, len(byThread))
 		for t := range byThread {
 			threads = append(threads, t)
@@ -315,10 +328,11 @@ type viewCases struct {
 // exactly when refViolates blames nobody.
 func refCases(t *testing.T, d *Detector, c *viewCases) {
 	t.Helper()
-	if len(d.views) > 1 {
+	views := recordedViews(d)
+	if len(views) > 1 {
 		c.severalLocks = true
 	}
-	for _, byThread := range d.views {
+	for _, byThread := range views {
 		for t1, vs := range byThread {
 			for t2, others := range byThread {
 				if t1 == t2 {
@@ -426,7 +440,7 @@ func lockedTableViews() *Detector {
 // violates — to zero allocations once its buffers are warm.
 func TestZeroAllocViewCheck(t *testing.T) {
 	d := lockedTableViews()
-	mine, others := d.views[1][1], d.views[1][2]
+	mine, others := d.recs[lockThread{1, 1}].views, d.recs[lockThread{1, 2}].views
 	if len(mine) != 64 || len(others) != 64 {
 		t.Fatalf("recorded %d and %d views, want 64 each", len(mine), len(others))
 	}

@@ -165,12 +165,13 @@ func (d *refRecorder) Access(a *trace.Access) {
 func (d *refRecorder) finish(col trace.Reporter) {
 	det := New(d.cfg, col)
 	for l, byThread := range d.views {
-		det.views[l] = make(map[trace.ThreadID][]*view)
 		for t, vs := range byThread {
+			rec := &viewSet{lockThread: lockThread{l, t}}
 			for _, v := range vs {
-				det.views[l][t] = append(det.views[l][t],
+				rec.views = append(rec.views,
 					&view{keys: v.keys, stack: v.stack, addr: v.addr, block: v.block})
 			}
+			det.recs[rec.lockThread] = rec
 		}
 	}
 	det.Finish()
@@ -373,11 +374,12 @@ func checkRecording(t *testing.T, evs []decodedEvent) {
 
 func compareViews(t *testing.T, d *Detector, ref *refRecorder) {
 	t.Helper()
-	if len(d.views) != len(ref.views) {
-		t.Fatalf("views recorded under %d lock(s), oracle %d", len(d.views), len(ref.views))
+	views := recordedViews(d)
+	if len(views) != len(ref.views) {
+		t.Fatalf("views recorded under %d lock(s), oracle %d", len(views), len(ref.views))
 	}
 	for l, refByThread := range ref.views {
-		byThread := d.views[l]
+		byThread := views[l]
 		if len(byThread) != len(refByThread) {
 			t.Fatalf("lock %d: views of %d thread(s), oracle %d", l, len(byThread), len(refByThread))
 		}

@@ -65,9 +65,7 @@ func (s *Server) pressureLevel() int {
 	case use*4 >= c*3:
 		level = pressureLow
 	}
-	if s.met != nil {
-		s.met.pressure.Set(int64(level))
-	}
+	s.met.pressure.Set(int64(level))
 	return level
 }
 
@@ -112,10 +110,8 @@ func (s *Server) admit(name string) (*sessionRun, *rejectError) {
 		run.sess.mu.Lock()
 		run.sess.shed = run.shed
 		run.sess.mu.Unlock()
-		if s.met != nil {
-			for _, tool := range run.shed {
-				s.met.shedTools.With(tool).Inc()
-			}
+		for _, tool := range run.shed {
+			s.met.shedTools.With(tool).Inc()
 		}
 	}
 	return run, nil
@@ -131,22 +127,16 @@ func (s *Server) acquireSlot() (waited bool, rej *rejectError) {
 	waitStart := time.Now()
 	select {
 	case s.sem <- struct{}{}:
-		if s.met != nil {
-			s.met.slotWaitNs.Observe(int64(time.Since(waitStart)))
-		}
+		s.met.slotWaitNs.Observe(int64(time.Since(waitStart)))
 		return false, nil
 	default:
 	}
 	s.slotWaiters.Add(1)
-	if s.met != nil {
-		s.met.slotWaiters.Add(1)
-	}
+	s.met.slotWaiters.Add(1)
 	defer func() {
 		s.slotWaiters.Add(-1)
-		if s.met != nil {
-			s.met.slotWaiters.Add(-1)
-			s.met.slotWaitNs.Observe(int64(time.Since(waitStart)))
-		}
+		s.met.slotWaiters.Add(-1)
+		s.met.slotWaitNs.Observe(int64(time.Since(waitStart)))
 	}()
 	var deadline <-chan time.Time
 	if d := s.slotWaitBound(); d > 0 {
@@ -187,9 +177,7 @@ const slotRetryAfter = time.Second
 // on transport flow control and never reach the response read; discarding
 // its remaining input lets it complete the exchange and read the busy frame.
 func (s *Server) reject(conn net.Conn, fw *tracelog.FrameWriter, rej *rejectError) {
-	if s.met != nil {
-		s.met.admissionRejects.With(rej.reason).Inc()
-	}
+	s.met.admissionRejects.With(rej.reason).Inc()
 	if rej.reason == "shutdown" {
 		fw.Error(rej.msg)
 		return

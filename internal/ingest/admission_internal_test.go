@@ -17,7 +17,7 @@ import (
 
 // TestPressureLevel pins the occupancy thresholds and the waiter override.
 func TestPressureLevel(t *testing.T) {
-	s := &Server{sem: make(chan struct{}, 8)}
+	s := &Server{met: newServerMetrics(nil), sem: make(chan struct{}, 8)}
 	fill := func(n int) {
 		for len(s.sem) < n {
 			s.sem <- struct{}{}
@@ -39,7 +39,7 @@ func TestPressureLevel(t *testing.T) {
 		t.Errorf("8/8 slots pressure = %d, want full", got)
 	}
 	// A parked waiter is full pressure regardless of occupancy.
-	drained := &Server{sem: make(chan struct{}, 8)}
+	drained := &Server{met: newServerMetrics(nil), sem: make(chan struct{}, 8)}
 	drained.slotWaiters.Add(1)
 	if got := drained.pressureLevel(); got != pressureFull {
 		t.Errorf("pressure with a waiter = %d, want full", got)

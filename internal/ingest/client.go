@@ -144,8 +144,9 @@ func (c *Client) Snapshots(name string) (string, error) {
 	return c.Query("snapshots " + name)
 }
 
-// Stats asks the server for its metrics snapshot (Prometheus text format).
-// It fails if the server has no metrics registry attached.
+// Stats asks the server for its metrics snapshot (Prometheus text format):
+// the series on Config.Metrics, or on the server's own registry when that
+// was nil. A router answers with its router_* series the same way.
 func (c *Client) Stats() (string, error) {
 	return c.Query("stats")
 }

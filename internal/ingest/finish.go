@@ -47,10 +47,8 @@ func (s *Server) finish(run *sessionRun, fw *tracelog.FrameWriter, assigned bool
 	sess.sums = run.pipe.Summaries()
 	res := sess.resultLocked()
 	sess.mu.Unlock()
-	if s.met != nil {
-		for tool, n := range col.LocationsByTool() {
-			s.met.warnings.With(tool).Add(int64(n))
-		}
+	for tool, n := range col.LocationsByTool() {
+		s.met.warnings.With(tool).Add(int64(n))
 	}
 	if assigned {
 		// The router gets the structured result: the rendered text it relays

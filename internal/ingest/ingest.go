@@ -38,6 +38,11 @@
 //     <name>", "snapshots <name>") while the stream is still flowing. Every
 //     snapshot manifest is a prefix-consistent subset of the session's final
 //     manifest (report.PrefixConsistent) — the final report is unaffected.
+//   - The daemon is always metered: its ingest_* and engine_* series land on
+//     Config.Metrics, or on a registry of the server's own when that is nil,
+//     and the "stats" query renders them. There is no unmetered mode; the
+//     obs conformance test holds the metered daemon's reports to an
+//     unmetered offline replay.
 //   - Shutdown stops accepting, then flushes: in-flight sessions are given
 //     the context's grace period to drain and report; after that their
 //     connections are force-closed, which surfaces to the session as a
@@ -154,19 +159,19 @@ type Config struct {
 	// deadline is rolling: it rearms on every read, so slow-but-moving
 	// streams are unaffected. It also covers the handshake itself.
 	IdleTimeout time.Duration
-	// Metrics, when non-nil, receives the daemon's self-observability
-	// series (ingest_* families plus the shared engine_* families of every
-	// session pipeline) and enables the "stats" query. Instrumentation never
-	// influences analysis: session and aggregate reports are byte-identical
-	// with or without a registry attached — the obs conformance test pins
-	// this.
+	// Metrics is the registry the daemon publishes its self-observability
+	// series on (ingest_* families plus the shared engine_* families of
+	// every session pipeline), which the "stats" query renders; nil means
+	// the server builds its own. Instrumentation never influences analysis:
+	// session and aggregate reports are byte-identical to an unmetered
+	// offline replay — the obs conformance test pins this.
 	Metrics *obs.Registry
 }
 
 // Server is the multiplexed trace-ingest daemon.
 type Server struct {
 	cfg Config
-	met *serverMetrics // nil when Config.Metrics is nil
+	met *serverMetrics
 
 	loop *serve.Loop
 
@@ -220,11 +225,7 @@ func NewServer(cfg Config) (*Server, error) {
 		sessions: make(map[uint64]*Session),
 		sem:      make(chan struct{}, cfg.MaxSessions),
 	}
-	var observe func(tracelog.FrameKind, int)
-	if s.met != nil {
-		observe = s.met.observeFrame
-	}
-	s.loop = serve.NewLoop(cfg.IdleTimeout, observe, s.serveConn)
+	s.loop = serve.NewLoop(cfg.IdleTimeout, s.met.observeFrame, s.serveConn)
 	return s, nil
 }
 
@@ -272,10 +273,8 @@ func (s *Server) register(name string) *Session {
 	sess := &Session{ID: s.nextID, Name: name, Opened: time.Now(), met: s.met, state: StateOpen}
 	s.sessions[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
-	if s.met != nil {
-		s.met.sessionsOpened.Inc()
-		s.met.states[StateOpen].Add(1)
-	}
+	s.met.sessionsOpened.Inc()
+	s.met.states[StateOpen].Add(1)
 	return sess
 }
 

@@ -9,10 +9,10 @@ import (
 // serverMetrics is the ingest daemon's self-observability surface, resolved
 // once at NewServer from Config.Metrics. The engine metrics are shared across
 // every session pipeline, so the engine_* series aggregate the whole daemon.
-// A nil *serverMetrics disables all ingest instrumentation (every call site
-// nil-checks), and instrumentation never influences analysis: session and
-// aggregate reports are byte-identical with or without a registry attached.
+// Instrumentation never influences analysis: session and aggregate reports
+// are byte-identical to an unmetered offline replay.
 type serverMetrics struct {
+	reg    *obs.Registry // what the "stats" query renders
 	engine *engine.Metrics
 
 	// states holds one gauge per lifecycle state (ingest_sessions{state=}),
@@ -57,12 +57,14 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the ingest metric families (plus the shared
-// engine families) on reg; nil reg yields nil, the disabled surface.
+// engine families) on reg, or on a registry of the server's own when reg is
+// nil.
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	m := &serverMetrics{
+		reg:            reg,
 		engine:         engine.NewMetrics(reg),
 		sessionsOpened: reg.Counter("ingest_sessions_opened_total", "Client sessions accepted and registered."),
 		eventsTotal:    reg.Counter("ingest_events_total", "Trace events analysed across all sessions (final per-session counts)."),

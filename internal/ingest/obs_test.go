@@ -18,9 +18,9 @@ import (
 )
 
 // TestObsConformance pins the hard observability requirement on the live
-// path: a server with a metrics registry attached produces byte-identical
-// session reports to one without, and both match the offline replay of the
-// same trace. (The offline half of the matrix is
+// path: a server publishing on a given registry and one publishing on its
+// own produce byte-identical session reports, and both match the unmetered
+// offline replay of the same trace. (The offline half of the matrix is
 // TestEngineMetricsConformance.)
 func TestObsConformance(t *testing.T) {
 	log := recordScenario(t, 3, true)
@@ -49,63 +49,63 @@ func TestObsConformance(t *testing.T) {
 	}
 }
 
-// TestStatsQuery pins the "stats" query: a metrics-enabled server answers
-// with its Prometheus-text snapshot carrying the series a session must have
-// moved, and a server without a registry answers with a useful error.
+// TestStatsQuery pins the "stats" query: after one session a server answers
+// with its Prometheus-text snapshot carrying the series the session must
+// have moved — on the registry it was given, and on one of its own when it
+// was given none.
 func TestStatsQuery(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv, addr := startServer(t, ingest.Config{Metrics: reg})
 	log := recordScenario(t, 4, true)
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"given registry", obs.NewRegistry()}, {"own registry", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, ingest.Config{Tools: scenario.AllTools, Metrics: tc.reg})
+			c, err := ingest.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.StreamTrace("stats-sess", log, 0); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			waitSession(t, srv.Sessions()[0])
 
-	c, err := ingest.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.StreamTrace("stats-sess", log, 0); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	waitSession(t, srv.Sessions()[0])
-
-	q, err := ingest.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	text, err := q.Stats()
-	if err != nil {
-		t.Fatalf("stats query: %v", err)
-	}
-	series := parseSeries(t, text)
-	for name, min := range map[string]int64{
-		"engine_events_decoded_total":                  1,
-		"engine_batches_flushed_total":                 1,
-		"ingest_sessions_opened_total":                 1,
-		"ingest_events_total":                          1,
-		`ingest_sessions{state="reported"}`:            1,
-		`ingest_frames_read_total{kind="hello"}`:       1,
-		`ingest_frames_read_total{kind="events"}`:      1,
-		`ingest_frames_read_total{kind="end"}`:         1,
-		`ingest_frame_bytes_read_total{kind="events"}`: int64(len(log)),
-		"ingest_slot_wait_ns_count":                    1,
-	} {
-		if got := series[name]; got < min {
-			t.Errorf("stats series %s = %d, want >= %d", name, got, min)
-		}
-	}
-	if got := series[`ingest_sessions{state="streaming"}`]; got != 0 {
-		t.Errorf("streaming gauge = %d after session completed, want 0", got)
-	}
-
-	// Unconfigured server: the query fails with a pointer at the cause.
-	_, addr2 := startServer(t, ingest.Config{})
-	q2, err := ingest.Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q2.Close()
-	if _, err := q2.Stats(); err == nil || !strings.Contains(err.Error(), "no metrics registry") {
-		t.Errorf("stats without registry: err = %v, want 'no metrics registry'", err)
+			q, err := ingest.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			text, err := q.Stats()
+			if err != nil {
+				t.Fatalf("stats query: %v", err)
+			}
+			series := parseSeries(t, text)
+			for name, min := range map[string]int64{
+				"engine_events_decoded_total":                  1,
+				"engine_batches_flushed_total":                 1,
+				"ingest_sessions_opened_total":                 1,
+				"ingest_events_total":                          1,
+				`ingest_sessions{state="reported"}`:            1,
+				`ingest_frames_read_total{kind="hello"}`:       1,
+				`ingest_frames_read_total{kind="events"}`:      1,
+				`ingest_frames_read_total{kind="end"}`:         1,
+				`ingest_frame_bytes_read_total{kind="events"}`: int64(len(log)),
+				"ingest_slot_wait_ns_count":                    1,
+			} {
+				if got := series[name]; got < min {
+					t.Errorf("stats series %s = %d, want >= %d", name, got, min)
+				}
+			}
+			if got := series[`ingest_sessions{state="streaming"}`]; got != 0 {
+				t.Errorf("streaming gauge = %d after session completed, want 0", got)
+			}
+			if tc.reg != nil {
+				if got := parseSeries(t, tc.reg.Snapshot())["ingest_sessions_opened_total"]; got != 1 {
+					t.Errorf("given registry: ingest_sessions_opened_total = %d, want 1", got)
+				}
+			}
+		})
 	}
 }
 

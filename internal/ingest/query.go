@@ -19,11 +19,7 @@ func (s *Server) serveQuery(fw *tracelog.FrameWriter, q string) {
 	case q == "sessions":
 		serve.Reply(fw, "sessions", s.formatSessions())
 	case q == "stats":
-		if s.cfg.Metrics == nil {
-			fw.Error("stats: no metrics registry attached (Config.Metrics)")
-			return
-		}
-		serve.Reply(fw, "stats", s.cfg.Metrics.Snapshot())
+		serve.Reply(fw, "stats", s.met.reg.Snapshot())
 	case strings.HasPrefix(q, "session "), strings.HasPrefix(q, "snapshots "):
 		what, name, _ := strings.Cut(q, " ")
 		sess := s.SessionByName(strings.TrimSpace(name))

@@ -40,12 +40,10 @@ func (s *Server) retire() {
 func (s *Server) fold(sess *Session) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if s.met != nil {
-		// Eviction removes the session from the census the state gauges
-		// cover; the folds counter keeps the running total observable.
-		s.met.folds.Inc()
-		s.met.states[sess.state].Add(-1)
-	}
+	// Eviction removes the session from the census the state gauges
+	// cover; the folds counter keeps the running total observable.
+	s.met.folds.Inc()
+	s.met.states[sess.state].Add(-1)
 	s.folded.Add(outcomes[sess.state], sess.resultLocked())
 	if sess.state != StateReported {
 		return
@@ -62,7 +60,7 @@ func (s *Server) fold(sess *Session) {
 		sites, occs := s.folded.Col.CompactTail(s.cfg.FoldSiteCap)
 		s.folded.CompactedSites += sites
 		s.folded.CompactedOccs += occs
-		if s.met != nil && sites > 0 {
+		if sites > 0 {
 			s.met.foldCompactedSites.Add(int64(sites))
 		}
 	}

@@ -74,7 +74,7 @@ type Session struct {
 	// renders each entry's age from it.
 	Opened time.Time
 
-	met *serverMetrics // lifecycle gauge census; nil when no registry is attached
+	met *serverMetrics // the server's metric handles; its state gauges count this session
 
 	mu      sync.Mutex
 	state   SessionState
@@ -299,7 +299,7 @@ func (s *Session) foldable() bool {
 // transitionLocked advances the lifecycle and moves the state-gauge census
 // with it. Callers hold s.mu.
 func (s *Session) transitionLocked(st SessionState) {
-	if s.met != nil && st != s.state {
+	if st != s.state {
 		s.met.states[s.state].Add(-1)
 		s.met.states[st].Add(1)
 	}

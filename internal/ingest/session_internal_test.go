@@ -46,7 +46,7 @@ func TestSnapshotRetentionCap(t *testing.T) {
 // marked reported whose handler has not yet finished delivering (it can
 // still downgrade to failed) must not be foldable.
 func TestFoldableRequiresDone(t *testing.T) {
-	sess := &Session{ID: 2, Name: "in-delivery", state: StateReported}
+	sess := &Session{ID: 2, Name: "in-delivery", met: newServerMetrics(nil), state: StateReported}
 	if sess.foldable() {
 		t.Error("reported-but-undelivered session is foldable")
 	}
@@ -59,7 +59,7 @@ func TestFoldableRequiresDone(t *testing.T) {
 		t.Errorf("state = %v, want failed", sess.State())
 	}
 
-	streaming := &Session{ID: 3, Name: "live", state: StateStreaming}
+	streaming := &Session{ID: 3, Name: "live", met: newServerMetrics(nil), state: StateStreaming}
 	streaming.markDone() // done alone is not enough either
 	if streaming.foldable() {
 		t.Error("non-terminal session is foldable")

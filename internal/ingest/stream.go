@@ -37,14 +37,10 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 	// stream's metadata frames arrive; every report this session renders —
 	// incremental and final — resolves against it, exactly like an offline
 	// replay resolving against the recording VM.
-	var em *engine.Metrics
-	if s.met != nil {
-		em = s.met.engine
-	}
 	pipe, err := engine.NewSequential(engine.Options{
 		Tools:    run.specs,
 		Resolver: fr.Tables(),
-		Metrics:  em,
+		Metrics:  s.met.engine,
 		Keep:     keep,
 	})
 	if err != nil {
@@ -68,9 +64,7 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 				s.pressureLevel() >= pressureHigh {
 				deferredRun++
 				sess.noteSnapshotDeferred()
-				if s.met != nil {
-					s.met.snapshotsDeferred.Inc()
-				}
+				s.met.snapshotsDeferred.Inc()
 				return
 			}
 			deferredRun = 0
@@ -79,9 +73,7 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 				// A failed snapshot loses one checkpoint, not the session —
 				// but it is recorded and counted, not swallowed.
 				sess.noteSnapshotError(err)
-				if s.met != nil {
-					s.met.snapshotErrors.Inc()
-				}
+				s.met.snapshotErrors.Inc()
 				return
 			}
 			sess.addSnapshot(Snapshot{
@@ -89,9 +81,7 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 				Report:   degradedHeader(run.sampledOut(), run.shed) + col.Format(),
 				Manifest: col.Manifest(),
 			})
-			if s.met != nil {
-				s.met.snapshotsTaken.Inc()
-			}
+			s.met.snapshotsTaken.Inc()
 		})
 		defer stop()
 		src = trig
@@ -106,22 +96,18 @@ func (s *Server) stream(run *sessionRun, fr *tracelog.FrameReader) *sessionError
 	sess.sampledOut = run.sampledOut()
 	degraded := sess.sampledOut > 0 || len(sess.shed) > 0
 	sess.mu.Unlock()
-	if s.met != nil {
-		s.met.eventsTotal.Add(run.events)
-		if n := run.sampledOut(); n > 0 {
-			s.met.sampledOut.Add(n)
-		}
-		if degraded {
-			s.met.degradedSessions.Inc()
-		}
+	s.met.eventsTotal.Add(run.events)
+	if n := run.sampledOut(); n > 0 {
+		s.met.sampledOut.Add(n)
+	}
+	if degraded {
+		s.met.degradedSessions.Inc()
 	}
 	if err != nil {
 		pipe.Close() // release the batch; no report by the mid-stream contract
-		if s.met != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.met.idleKills.Inc()
-			}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			s.met.idleKills.Inc()
 		}
 		return &sessionError{"stream", err}
 	}

@@ -30,8 +30,9 @@ type refDJITCell struct {
 // refDJIT is the DJIT detector as it stood before the happens-before core
 // moved into vclock.HB and the block shadow into trace.Shadow: every clock,
 // index and shadow array is its own copy. It is kept verbatim, apart from
-// renames, as the test-only oracle FuzzDetectorOracle compares the
-// production vectorclock.Detector against.
+// renames and the read-epoch reset on writes that vclock.Cell.Write has, as
+// the test-only oracle FuzzDetectorOracle compares the production
+// vectorclock.Detector against.
 type refDJIT struct {
 	trace.BaseSink
 	cfg     vectorclock.Config
@@ -291,6 +292,11 @@ func (d *refDJIT) Access(a *trace.Access) {
 			d.report(c, a, c.lastRead.stack)
 		}
 		c.lastWrite = refAccess{epoch: epoch, stack: a.Stack}
+		if c.lastRead.epoch != epoch {
+			// Forget the last read's epoch, so a read repeated at it is
+			// recorded in the cleared read clock.
+			c.lastRead.epoch = vclock.Epoch{}
+		}
 		c.reads.Clear()
 		c.readsClean = true
 	}

@@ -26,9 +26,9 @@ type refHybridCell struct {
 
 // refHybrid is the hybrid detector as it stood before it shared vclock.HB,
 // trace.Shadow and lockset.Held: its own clocks, indices, shadow arrays and
-// held-set stepping. It is kept verbatim, apart from renames, as the
-// test-only oracle FuzzDetectorOracle compares the production
-// hybrid.Detector against.
+// held-set stepping. It is kept verbatim, apart from renames and the
+// read-epoch reset on writes that vclock.Cell.Write has, as the test-only
+// oracle FuzzDetectorOracle compares the production hybrid.Detector against.
 type refHybrid struct {
 	trace.BaseSink
 	cfg     hybrid.Config
@@ -301,6 +301,11 @@ func (d *refHybrid) Access(a *trace.Access) {
 			}
 			c.lastWrite = epoch
 			c.writeStk = a.Stack
+			if c.lastRead != epoch {
+				// Forget the last read's epoch, so a read repeated at it
+				// is recorded in the cleared read clock.
+				c.lastRead = vclock.Epoch{}
+			}
 			if !c.readsClean {
 				c.reads.Clear()
 				c.readsClean = true

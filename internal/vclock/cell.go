@@ -10,8 +10,8 @@ import "repro/internal/trace"
 // Read and Write take the accessing thread's epoch e and current clock now,
 // with e.C == now.Get(int(e.T)). They return racy when the access is
 // unordered with an earlier conflicting one, and then prev, that access's
-// stack (zero otherwise). The same-epoch write fast path skips only stores
-// and checks that cannot fail; the read one can lose a read (see Read).
+// stack (zero otherwise). Both same-epoch fast paths skip only stores and
+// checks that cannot fail.
 type Cell struct {
 	reads      VC // per-thread read clock; bottom when readsClean
 	w, r       Epoch
@@ -22,10 +22,10 @@ type Cell struct {
 }
 
 // Read checks a read against the last write and records it. A read repeated
-// at the last read's epoch records nothing. The read clock holds it unless a
-// write has cleared the clock since; then the read is lost, and a later
-// write unordered with it goes unreported. The unset write epoch {0,0} needs
-// no guard: 0 <= now.Get(0) always holds.
+// at the last read's epoch records nothing: Write forgets that epoch unless
+// it writes at it, so either the read clock still holds the read, or the
+// last write is at the read's own epoch (see Write). The unset write epoch
+// {0,0} needs no guard: 0 <= now.Get(0) always holds.
 func (c *Cell) Read(e Epoch, now VC, stk trace.StackID) (prev trace.StackID, racy bool) {
 	if !c.w.HappensBefore(now) {
 		prev, racy = c.wStk, true
@@ -44,6 +44,13 @@ func (c *Cell) Read(e Epoch, now VC, stk trace.StackID) (prev trace.StackID, rac
 // now, and a clean read clock is bottom, so the slow path would find no race
 // and store the values already there. For the same reason the read clock is
 // compared only when it is not clean.
+//
+// The slow path forgets the last read's epoch, setting it to Epoch{} (never
+// a real epoch: every thread clock starts with a self-tick), so a read
+// repeated at it is recorded again in the cleared read clock. It keeps a
+// read epoch equal to e: a read at the writer's own epoch may stay skipped,
+// because until another write replaces e, every later write is ordered
+// after e, and with it after that read, or races with e first.
 func (c *Cell) Write(e Epoch, now VC, stk trace.StackID) (prev trace.StackID, racy bool) {
 	if c.readsClean && c.w == e {
 		c.wStk = stk
@@ -55,6 +62,9 @@ func (c *Cell) Write(e Epoch, now VC, stk trace.StackID) (prev trace.StackID, ra
 		prev, racy = c.rStk, true
 	}
 	c.w, c.wStk = e, stk
+	if c.r != e {
+		c.r = Epoch{}
+	}
 	if !c.readsClean {
 		c.reads.Clear()
 		c.readsClean = true

@@ -7,19 +7,13 @@ import (
 	"repro/internal/trace"
 )
 
-// refCell is Cell with its shortcuts taken out: no same-epoch write fast
-// path, the unset-epoch guard on every write-epoch check, and a read-clock
-// comparison on every write whether or not a read happened since the last
-// one. These are the rules DJIT and the hybrid applied before they shared
-// Cell.
-//
-// The read-epoch test stays, because it is not a pure fast path (see
-// Cell.Read): a read repeated at the last read's epoch after another
-// thread's write is not recorded, so a later write unordered with that read
-// is not reported. Taking the test out here would make this check fail on
-// that gap rather than on a broken shortcut.
+// refCell is Cell with its shortcuts taken out: no same-epoch read or write
+// fast path, the unset-epoch guard on every write-epoch check, and a
+// read-clock comparison on every write whether or not a read happened since
+// the last one. It records every read. These are the rules DJIT and the
+// hybrid applied before they shared Cell, without the read-epoch test.
 type refCell struct {
-	w, r       Epoch
+	w          Epoch
 	wStk, rStk trace.StackID
 	reads      VC
 }
@@ -28,10 +22,7 @@ func (c *refCell) read(e Epoch, now VC, stk trace.StackID) (prev trace.StackID, 
 	if !c.w.Zero() && !c.w.HappensBefore(now) {
 		prev, racy = c.wStk, true
 	}
-	if c.r != e {
-		c.reads = c.reads.Set(int(e.T), e.C)
-		c.r = e
-	}
+	c.reads = c.reads.Set(int(e.T), e.C)
 	c.rStk = stk
 	return prev, racy
 }
@@ -45,6 +36,28 @@ func (c *refCell) write(e Epoch, now VC, stk trace.StackID) (prev trace.StackID,
 	c.w, c.wStk = e, stk
 	c.reads.Clear()
 	return prev, racy
+}
+
+// TestCellReadAfterForeignWrite is the lost-read witness: T3 reads, T1
+// writes without having seen that read, T3 reads again at the same epoch,
+// and T1 writes again at its same epoch. T3's second read is unordered with
+// T1's second write, so that write races with it.
+func TestCellReadAfterForeignWrite(t *testing.T) {
+	t1, t3 := New(3).Tick(1), New(3).Tick(3)
+	e1, e3 := Epoch{T: 1, C: t1.Get(1)}, Epoch{T: 3, C: t3.Get(3)}
+	var c Cell
+	if _, racy := c.Read(e3, t3, 1); racy {
+		t.Fatal("first read: race on an untouched cell")
+	}
+	if prev, racy := c.Write(e1, t1, 2); !racy || prev != 1 {
+		t.Fatalf("first write: (%d, %v), want the read at stack 1", prev, racy)
+	}
+	if prev, racy := c.Read(e3, t3, 3); !racy || prev != 2 {
+		t.Fatalf("second read: (%d, %v), want the write at stack 2", prev, racy)
+	}
+	if prev, racy := c.Write(e1, t1, 4); !racy || prev != 3 {
+		t.Fatalf("second write: (%d, %v), want the read at stack 3", prev, racy)
+	}
 }
 
 // TestCellDifferential drives a Cell and a refCell with the same random
